@@ -154,9 +154,8 @@ void BM_EventDecodeBatch16(benchmark::State& state) {
 BENCHMARK(BM_EventDecodeBatch16);
 
 // --- End-to-end batch pipeline: encode → fan-out to K subscribers →
-// decode, per batch of 16 events. The shared-payload path encodes once and
-// decodes once regardless of K; the per-event path re-encodes and
-// re-decodes per event per hand-off (the seed's behavior). ---
+// decode, per batch of 16 events. The shared payload is encoded once and
+// validated once per subscriber, however large K grows. ---
 
 void BM_PipelineSharedBatch(benchmark::State& state) {
   const int64_t subscribers = state.range(0);
@@ -183,33 +182,6 @@ void BM_PipelineSharedBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_PipelineSharedBatch)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_PipelinePerEventLegacy(benchmark::State& state) {
-  const int64_t subscribers = state.range(0);
-  msgq::Context context;
-  auto pub = context.CreatePub("inproc://pipe");
-  std::vector<std::shared_ptr<msgq::SubSocket>> subs;
-  for (int64_t i = 0; i < subscribers; ++i) {
-    auto sub = context.CreateSub("inproc://pipe", 1u << 20);
-    sub->Subscribe("");
-    subs.push_back(std::move(sub));
-  }
-  const std::vector<monitor::FsEvent> events(16, SampleEvent());
-  for (auto _ : state) {
-    // Producer: one message (and one encode) per event.
-    for (const monitor::FsEvent& event : events) {
-      pub->Publish(msgq::Message("fsevent.CREAT", monitor::EncodeEventBatch({event})));
-    }
-    // Consumers: one decode per message.
-    for (auto& sub : subs) {
-      while (auto message = sub->TryReceive()) {
-        benchmark::DoNotOptimize(monitor::DecodeEventBatch(message->bytes()));
-      }
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 16);
-}
-BENCHMARK(BM_PipelinePerEventLegacy)->Arg(1)->Arg(4)->Arg(16);
 
 // --- Contended queue hand-off: the mutex+CV BoundedQueue (post wake-up
 // audit: single notify_one with baton cascade) vs the lock-free SpscRing

@@ -5,8 +5,8 @@
 // decode pool feed), where the mutex+condvar hand-off cost dominates at
 // high event rates. Exactly ONE thread may push and exactly ONE thread
 // may pop for the ring's whole lifetime — that contract is what buys the
-// lock freedom, and it is the caller's to uphold (ThreadPool's SPSC feed
-// mode assigns one ring per worker for precisely this reason).
+// lock freedom, and it is the caller's to uphold (ThreadPool assigns
+// one ring per worker for precisely this reason).
 //
 // Design (the classic cached-index SPSC ring):
 //  - capacity is rounded up to a power of two; indices grow monotonically

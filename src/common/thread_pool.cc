@@ -4,17 +4,13 @@
 
 namespace sdci {
 
-ThreadPool::ThreadPool(size_t workers, size_t queue_capacity, FeedMode feed)
-    : feed_(feed),
-      tasks_(queue_capacity > 0 ? queue_capacity : std::max<size_t>(1, workers) * 4) {
+ThreadPool::ThreadPool(size_t workers, size_t queue_capacity) {
   const size_t n = std::max<size_t>(1, workers);
-  if (feed_ == FeedMode::kSpscRings) {
-    const size_t total = queue_capacity > 0 ? queue_capacity : n * 4;
-    const size_t per_ring = std::max<size_t>(4, total / n);
-    rings_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      rings_.push_back(std::make_unique<SpscRing<Task>>(per_ring));
-    }
+  const size_t total = queue_capacity > 0 ? queue_capacity : n * 4;
+  const size_t per_ring = std::max<size_t>(4, total / n);
+  rings_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rings_.push_back(std::make_unique<SpscRing<Task>>(per_ring));
   }
   threads_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -25,47 +21,30 @@ ThreadPool::ThreadPool(size_t workers, size_t queue_capacity, FeedMode feed)
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 Status ThreadPool::Submit(Task task) {
-  if (feed_ == FeedMode::kSpscRings) {
-    // Round-robin over per-worker rings. The cursor is unsynchronized on
-    // purpose: kSpscRings mode admits exactly one submitter thread.
-    const size_t ring = next_ring_;
-    next_ring_ = (next_ring_ + 1) % rings_.size();
-    return rings_[ring]->Push(std::move(task));
-  }
-  return tasks_.Push(std::move(task));
+  // Round-robin over per-worker rings. The cursor is unsynchronized on
+  // purpose: the pool admits exactly one submitter thread.
+  const size_t ring = next_ring_;
+  next_ring_ = (next_ring_ + 1) % rings_.size();
+  return rings_[ring]->Push(std::move(task));
 }
 
 void ThreadPool::Shutdown() {
-  if (feed_ == FeedMode::kSpscRings) {
-    for (auto& ring : rings_) ring->Close();  // pops drain, then kClosed
-  }
-  tasks_.Close();  // pops drain the queue, then fail with kClosed
+  for (auto& ring : rings_) ring->Close();  // pops drain, then kClosed
   for (auto& thread : threads_) {
     if (thread.joinable()) thread.join();
   }
 }
 
 size_t ThreadPool::QueueDepth() const {
-  if (feed_ == FeedMode::kSpscRings) {
-    size_t depth = 0;
-    for (const auto& ring : rings_) depth += ring->size();
-    return depth;
-  }
-  return tasks_.size();
+  size_t depth = 0;
+  for (const auto& ring : rings_) depth += ring->size();
+  return depth;
 }
 
 void ThreadPool::WorkerLoop(size_t index) {
-  if (feed_ == FeedMode::kSpscRings) {
-    SpscRing<Task>& ring = *rings_[index];
-    while (true) {
-      auto task = ring.Pop();
-      if (!task.ok()) return;  // closed and drained
-      (*task)(index);
-      completed_.Add();
-    }
-  }
+  SpscRing<Task>& ring = *rings_[index];
   while (true) {
-    auto task = tasks_.Pop();
+    auto task = ring.Pop();
     if (!task.ok()) return;  // closed and drained
     (*task)(index);
     completed_.Add();

@@ -1,28 +1,24 @@
-// Fixed-size worker pool over a bounded task queue.
+// Fixed-size worker pool fed by one lock-free SPSC ring per worker.
 //
 // Built for pipeline stages that fan work out across records — the
-// collector's resolver stage is the canonical user. Tasks receive the
-// index of the worker that runs them (0..workers-1), so callers can keep
-// strictly per-worker state (e.g. a DelayBudget, whose contract is
-// single-threaded use) without any locking: worker i is one thread for
-// the pool's whole lifetime, so state indexed by i has one owner.
+// collector's resolver stage and the aggregator's decode stage are the
+// users. Tasks receive the index of the worker that runs them
+// (0..workers-1), so callers can keep strictly per-worker state (e.g. a
+// DelayBudget, whose contract is single-threaded use) without any
+// locking: worker i is one thread for the pool's whole lifetime, so state
+// indexed by i has one owner.
 //
-// Submit blocks while the task queue is full (backpressure, same
+// Submit fills the rings round-robin and requires a SINGLE submitting
+// thread (the SPSC producer contract) — exactly the shape of the
+// collector's reader thread and the aggregator's receiver thread, the two
+// hottest hand-offs in the pipeline. No mutex sits on the per-task cost,
+// and round-robin keeps per-worker arrival order deterministic, which the
+// decode stages' reorder windows rely on.
+//
+// Submit blocks while the target ring is full (backpressure, same
 // discipline as BoundedQueue everywhere else in the pipeline) and fails
 // with kClosed after Shutdown. Shutdown drains: every task accepted
 // before the close runs to completion before the workers join.
-//
-// Feed modes:
-//  - kSharedQueue (default): one BoundedQueue feeds all workers. Any
-//    thread may Submit; idle workers steal naturally from the shared
-//    queue. The right choice whenever submitters are plural or bursty.
-//  - kSpscRings: one lock-free SpscRing per worker, filled round-robin.
-//    Requires a SINGLE submitting thread (the SPSC producer contract) —
-//    exactly the shape of the collector's reader thread and the
-//    aggregator's receiver thread, the two hottest hand-offs in the
-//    pipeline. Removes the shared queue's mutex from the per-task cost;
-//    round-robin keeps per-worker arrival order deterministic, which the
-//    decode stages' reorder windows rely on.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "common/spsc.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -42,30 +37,23 @@ class ThreadPool {
  public:
   using Task = std::function<void(size_t worker)>;
 
-  enum class FeedMode {
-    kSharedQueue,  // MPMC BoundedQueue, any number of submitters
-    kSpscRings,    // one lock-free ring per worker, ONE submitter thread
-  };
-
-  // `queue_capacity` == 0 sizes the feed at 4 tasks per worker (total
-  // across rings in kSpscRings mode, where each worker gets an equal
-  // share, minimum 4 slots).
-  explicit ThreadPool(size_t workers, size_t queue_capacity = 0,
-                      FeedMode feed = FeedMode::kSharedQueue);
+  // `queue_capacity` is the total feed capacity, split equally across the
+  // workers' rings (minimum 4 slots each); 0 sizes it at 4 tasks per
+  // worker.
+  explicit ThreadPool(size_t workers, size_t queue_capacity = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task; blocks while the feed is full. kClosed after
-  // Shutdown. In kSpscRings mode only one thread may call Submit.
+  // Enqueues a task; blocks while the target ring is full. kClosed after
+  // Shutdown. Only one thread may call Submit.
   Status Submit(Task task);
 
   // Closes the feed, lets the workers drain it, joins them. Idempotent.
   void Shutdown();
 
   [[nodiscard]] size_t workers() const noexcept { return threads_.size(); }
-  [[nodiscard]] FeedMode feed_mode() const noexcept { return feed_; }
   // Tasks accepted but not yet picked up by a worker.
   [[nodiscard]] size_t QueueDepth() const;
   // Tasks finished, over the pool's lifetime.
@@ -74,9 +62,7 @@ class ThreadPool {
  private:
   void WorkerLoop(size_t index);
 
-  const FeedMode feed_;
-  BoundedQueue<Task> tasks_;                         // kSharedQueue feed
-  std::vector<std::unique_ptr<SpscRing<Task>>> rings_;  // kSpscRings feed
+  std::vector<std::unique_ptr<SpscRing<Task>>> rings_;  // one per worker
   size_t next_ring_ = 0;  // round-robin cursor; submitter-thread-owned
   std::vector<std::jthread> threads_;
   Counter completed_;

@@ -35,8 +35,7 @@ TestbedProfile TestbedProfile::Aws() {
   p.changelog_read_per_record = Micros(45);
   p.changelog_clear_latency = Micros(400);
   p.collector_publish_latency = Micros(60);
-  p.aggregator_ingest_latency = Micros(35);
-  p.aggregator_ingest_latency_v4 = Micros(6);
+  p.aggregator_ingest_latency = Micros(6);
   // t2.micro CPUs are ~5x slower per event than Iota's Xeons.
   p.collector_cpu_per_event = Micros(40);
   p.aggregator_cpu_per_event = Micros(4);
@@ -67,8 +66,7 @@ TestbedProfile TestbedProfile::Iota() {
   p.changelog_read_per_record = Micros(6);
   p.changelog_clear_latency = Micros(70);
   p.collector_publish_latency = Micros(9);
-  p.aggregator_ingest_latency = Micros(5);
-  p.aggregator_ingest_latency_v4 = Micros(1);
+  p.aggregator_ingest_latency = Micros(1);
   // Calibrated against Table 3 at the measured throughput: 6.667% CPU at
   // ~8162 ev/s is ~8.2us of CPU per event; aggregator and consumer do far
   // less work per event (store append / filter check).
@@ -103,8 +101,7 @@ TestbedProfile TestbedProfile::Laptop() {
   p.changelog_read_per_record = Micros(1);
   p.changelog_clear_latency = Micros(10);
   p.collector_publish_latency = Micros(2);
-  p.aggregator_ingest_latency = Micros(1);
-  p.aggregator_ingest_latency_v4 = VirtualDuration(250);  // 0.25us
+  p.aggregator_ingest_latency = VirtualDuration(250);  // 0.25us
   p.collector_cpu_per_event = Micros(2);
   p.aggregator_cpu_per_event = Micros(1);
   p.consumer_cpu_per_event = Micros(1);
@@ -137,7 +134,6 @@ TestbedProfile TestbedProfile::Test() {
   p.changelog_clear_latency = Micros(1);
   p.collector_publish_latency = VirtualDuration::zero();
   p.aggregator_ingest_latency = VirtualDuration::zero();
-  p.aggregator_ingest_latency_v4 = VirtualDuration::zero();
   p.collector_cpu_per_event = Micros(1);
   p.aggregator_cpu_per_event = Micros(1);
   p.consumer_cpu_per_event = Micros(1);

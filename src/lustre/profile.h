@@ -51,13 +51,11 @@ struct TestbedProfile {
   VirtualDuration changelog_read_per_record{};   // marginal cost per record read
   VirtualDuration changelog_clear_latency{};     // cost of changelog_clear
   VirtualDuration collector_publish_latency{};   // serialize + send one message
-  VirtualDuration aggregator_ingest_latency{};   // deserialize + enqueue one event
-  // Per-event ingest cost when the message arrived in the flat v4 wire
-  // format: validation is a header/offset-table scan and no per-field
-  // copies happen until the store boundary, so the cost drops by roughly
-  // the decode speedup measured by bench_throughput's codec sweep (see
+  // Per-event ingest cost at the aggregator: validate the flat v4 message
+  // (a header/offset-table scan, no per-field copies until the store
+  // boundary) and enqueue it. Calibrated from the codec microbench (see
   // EXPERIMENTS.md "Wire codec sweep").
-  VirtualDuration aggregator_ingest_latency_v4{};
+  VirtualDuration aggregator_ingest_latency{};
 
   // Modeled *CPU* cost per event for Table 3 style accounting (most of the
   // latency figures above are I/O or RPC wait, not CPU).

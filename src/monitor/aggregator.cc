@@ -69,7 +69,8 @@ Aggregator::Aggregator(const lustre::TestbedProfile& profile,
                                             crashed_);
   serve_ = std::make_unique<ServePlane>(
       *authority_, context, config_, *catalog_,
-      ServePlane::Instruments{published_, batches_published_, delivery_latency_},
+      ServePlane::Instruments{published_, batches_published_, delivery_latency_,
+                              decode_errors_},
       config_.tracer, crashed_);
   ingest_ = std::make_unique<IngestPipeline>(
       profile_, *authority_, context, config_, attachments, *catalog_, *serve_,

@@ -191,12 +191,10 @@ void Collector::Start() {
   publish_aborted_ = false;
   {
     const std::lock_guard<std::mutex> lock(pool_mutex_);
-    // SPSC feed: the reader thread is the pool's only submitter (ReadPass
-    // and MaybeScheduleSpoolReplay both run on it), so each worker can be
-    // fed through a lock-free ring instead of the shared mutex queue —
-    // this hop is the hottest hand-off on the collector side.
-    pool_ = std::make_unique<ThreadPool>(Workers(), Window(),
-                                         ThreadPool::FeedMode::kSpscRings);
+    // The reader thread is the pool's only submitter (ReadPass and
+    // MaybeScheduleSpoolReplay both run on it), as the SPSC feed requires
+    // — this hop is the hottest hand-off on the collector side.
+    pool_ = std::make_unique<ThreadPool>(Workers(), Window());
   }
   publisher_thread_ =
       std::jthread([this](const std::stop_token& stop) { PublisherLoop(stop); });
@@ -701,17 +699,14 @@ void Collector::MaintainCache(const FsEvent& event, uint64_t cache_epoch) {
 
 size_t Collector::Report(const std::vector<FsEvent>& events, DelayBudget& budget) {
   // Aggregation hand-off: one wire message per publish_batch-sized chunk.
-  // The v4 path is the zero-copy arena path: the payload is encoded in one
-  // exact-size allocation DIRECTLY from the resolved slice — no per-chunk
-  // FsEvent copy, no intermediate EventBatch — and the msgq message shares
-  // those bytes, so the PUB/SUB or PUSH/PULL hand-off moves a pointer.
-  // Legacy versions (mixed-version fleets) keep the historic
-  // copy-then-encode shape. The collect endpoint carries exactly one
+  // The payload is encoded in one exact-size allocation DIRECTLY from the
+  // resolved slice — no per-chunk FsEvent copy, no intermediate EventBatch
+  // — and the msgq message shares those bytes, so the PUB/SUB or PUSH/PULL
+  // hand-off moves a pointer. The collect endpoint carries exactly one
   // aggregator; "nobody accepted" means it is absent (or its queue dropped
   // us) and the tail from the failed chunk on must be held for retry
   // rather than purged.
   const size_t batch_size = std::max<size_t>(1, config_.publish_batch);
-  const bool v4 = config_.wire_version >= wire::kWireV4;
   const std::string topic = strings::Format("collect.mdt{}", mdt_index_);
   size_t delivered = 0;
   for (size_t start = 0; start < events.size(); start += batch_size) {
@@ -722,8 +717,8 @@ size_t Collector::Report(const std::vector<FsEvent>& events, DelayBudget& budget
     // parent, so the span id is allocated before the batch is encoded and
     // the span recorded only once the hand-off succeeds (a rejected chunk
     // is retried under fresh span ids; its unrecorded ids never surface).
-    // On the v4 path the fresh ids ride the encoder's parent_span override
-    // array, so the source events stay untouched (they may be retried).
+    // The fresh ids ride the encoder's parent_span override array, so the
+    // source events stay untouched (they may be retried).
     struct PendingSpan {
       uint64_t trace_id, parent, span_id;
     };
@@ -743,19 +738,9 @@ size_t Collector::Report(const std::vector<FsEvent>& events, DelayBudget& budget
     }
     const VirtualTime publish_start =
         pending.empty() ? VirtualTime{} : authority_->Now();
-    std::shared_ptr<const std::string> payload;
-    if (v4) {
-      payload = std::make_shared<const std::string>(wire::EncodeEventBatchV4(
-          slice, n, span_override.empty() ? nullptr : span_override.data()));
-    } else {
-      std::vector<FsEvent> chunk(slice, slice + n);
-      for (size_t i = 0; i < span_override.size(); ++i) {
-        chunk[i].parent_span = span_override[i];
-      }
-      payload = std::make_shared<const std::string>(
-          EncodeEventBatchLegacy(chunk, config_.wire_version));
-    }
-    msgq::Message message(topic, std::move(payload));
+    msgq::Message message(
+        topic, std::make_shared<const std::string>(wire::EncodeEventBatchV4(
+                   slice, n, span_override.empty() ? nullptr : span_override.data())));
     budget.Charge(profile_.collector_publish_latency);
     if (pub_ != nullptr) {
       if (pub_->Publish(std::move(message)) == 0) return delivered;

@@ -2,8 +2,9 @@
 //
 // Each Collector tails its MDS's ChangeLog, resolves FIDs to absolute
 // paths, refactors the raw record tuples into FsEvents, reports them to
-// the Aggregator as EventBatches over msgq (each batch encoded once, its
-// bytes shared into the socket), and purges consumed records from the
+// the Aggregator over msgq in the flat v4 wire codec (each chunk encoded
+// once, straight from the resolved events, its bytes shared into the
+// socket), and purges consumed records from the
 // ChangeLog (keeping a pointer to the most recently extracted event so
 // nothing is missed across restarts).
 //
@@ -13,11 +14,12 @@
 //
 //   reader ──chunks──▶ resolver pool (N workers) ──tickets──▶ publisher
 //
-// The reader drains ChangeLog batches, splits them into chunks and stamps
-// each with a monotonically increasing *ticket*; `resolver_workers`
-// threads resolve chunks concurrently (each worker charging its own
-// DelayBudget, so concurrent per-item latencies overlap instead of
-// summing); the publisher re-sequences completed chunks through a reorder
+// The reader drains ChangeLog batches, splits them into chunks, stamps
+// each with a monotonically increasing *ticket* and feeds the resolver
+// pool through its per-worker SPSC rings (the reader is the only
+// submitter); `resolver_workers` threads resolve chunks concurrently
+// (each worker charging its own DelayBudget, so concurrent per-item
+// latencies overlap instead of summing); the publisher re-sequences completed chunks through a reorder
 // buffer and publishes strictly in ticket — i.e. exact ChangeLog — order.
 // Records are purged only after the events covering them were accepted by
 // the transport, and never ahead of an undelivered predecessor, which
@@ -82,12 +84,6 @@ struct CollectorConfig {
   size_t cache_capacity = 16384;  // parent-path LRU entries (cached modes)
   size_t cache_shards = 8;        // lock shards of the parent-path cache
   size_t publish_batch = 16;      // events per msgq message
-  // Wire codec version this collector puts on the wire. The default (flat
-  // v4) encodes straight from the resolved slice — one exact-size
-  // allocation per message, no per-chunk FsEvent copy. Mixed-version
-  // fleet tests and the codec ablation dial this down to 1-3, which keeps
-  // the historic copy-then-encode path.
-  uint16_t wire_version = kWireCodecVersion;
   bool purge = true;              // changelog_clear consumed records
   // Resolution pipeline (Start() mode only; DrainOnce stays serial).
   // resolver_workers is the size of the fid2path worker pool;

@@ -1,6 +1,5 @@
 #include "monitor/event.h"
 
-#include "common/serde.h"
 #include "common/strings.h"
 #include "monitor/wire_v4.h"
 
@@ -70,171 +69,14 @@ Result<FsEvent> FsEvent::FromJson(const json::Value& value) {
   return event;
 }
 
-namespace {
-
-// Legacy field-wise codec, kept verbatim for mixed-version fleets.
-// v1: fields through parent_fid. v2 appends the trace context (two u64s)
-// to the END of each record, so every v1 field keeps its byte offset;
-// v1 payloads still decode (trace fields default to 0 / unsampled).
-// v3 appends the HLC stamp (i64 wall + u32 logical + u32 origin) the same
-// way; v1/v2 payloads decode with a zero stamp (pre-fleet events).
-// v4 is the flat layout in monitor/wire_v4.h, dispatched on the same
-// leading version word.
-constexpr uint16_t kNewestLegacyVersion = 3;
-
-// Fixed (non-string) bytes of one legacy record per version:
-// v1: mdt u32 + index u64 + seq u64 + type u8 + time i64 + flags u32
-//     + two fids (u64+u32+u32 each) + three u32 string length prefixes.
-constexpr size_t kLegacyFixedV1 = 4 + 8 + 8 + 1 + 8 + 4 + 2 * 16 + 3 * 4;
-constexpr size_t kLegacyFixedV2 = kLegacyFixedV1 + 2 * 8;   // + trace ids
-constexpr size_t kLegacyFixedV3 = kLegacyFixedV2 + 8 + 4 + 4;  // + HLC
-
-void EncodeOneLegacy(BinaryWriter& writer, const FsEvent& event, uint16_t version) {
-  writer.PutU32(static_cast<uint32_t>(event.mdt_index));
-  writer.PutU64(event.record_index);
-  writer.PutU64(event.global_seq);
-  writer.PutU8(static_cast<uint8_t>(event.type));
-  writer.PutI64(event.time.count());
-  writer.PutU32(event.flags);
-  writer.PutString(event.path);
-  writer.PutString(event.name);
-  writer.PutString(event.source_path);
-  writer.PutU64(event.target_fid.seq);
-  writer.PutU32(event.target_fid.oid);
-  writer.PutU32(event.target_fid.ver);
-  writer.PutU64(event.parent_fid.seq);
-  writer.PutU32(event.parent_fid.oid);
-  writer.PutU32(event.parent_fid.ver);
-  if (version >= 2) {
-    writer.PutU64(event.trace_id);
-    writer.PutU64(event.parent_span);
-  }
-  if (version >= 3) {
-    writer.PutI64(event.hlc.wall_ns);
-    writer.PutU32(event.hlc.logical);
-    writer.PutU32(event.hlc.origin);
-  }
-}
-
-Result<FsEvent> DecodeOneLegacy(BinaryReader& reader, uint16_t version) {
-  FsEvent event;
-#define SDCI_READ_OR_RETURN(field, expr) \
-  {                                      \
-    auto parsed = (expr);                \
-    if (!parsed.ok()) return parsed.status(); \
-    field = std::move(parsed.value());   \
-  }
-  uint32_t mdt = 0;
-  SDCI_READ_OR_RETURN(mdt, reader.GetU32());
-  event.mdt_index = static_cast<int>(mdt);
-  SDCI_READ_OR_RETURN(event.record_index, reader.GetU64());
-  SDCI_READ_OR_RETURN(event.global_seq, reader.GetU64());
-  uint8_t type = 0;
-  SDCI_READ_OR_RETURN(type, reader.GetU8());
-  if (type > static_cast<uint8_t>(lustre::ChangeLogType::kAtime)) {
-    return InvalidArgumentError("invalid event type byte");
-  }
-  event.type = static_cast<lustre::ChangeLogType>(type);
-  int64_t time_ns = 0;
-  SDCI_READ_OR_RETURN(time_ns, reader.GetI64());
-  event.time = VirtualTime(time_ns);
-  SDCI_READ_OR_RETURN(event.flags, reader.GetU32());
-  SDCI_READ_OR_RETURN(event.path, reader.GetString());
-  SDCI_READ_OR_RETURN(event.name, reader.GetString());
-  SDCI_READ_OR_RETURN(event.source_path, reader.GetString());
-  SDCI_READ_OR_RETURN(event.target_fid.seq, reader.GetU64());
-  SDCI_READ_OR_RETURN(event.target_fid.oid, reader.GetU32());
-  SDCI_READ_OR_RETURN(event.target_fid.ver, reader.GetU32());
-  SDCI_READ_OR_RETURN(event.parent_fid.seq, reader.GetU64());
-  SDCI_READ_OR_RETURN(event.parent_fid.oid, reader.GetU32());
-  SDCI_READ_OR_RETURN(event.parent_fid.ver, reader.GetU32());
-  if (version >= 2) {
-    SDCI_READ_OR_RETURN(event.trace_id, reader.GetU64());
-    SDCI_READ_OR_RETURN(event.parent_span, reader.GetU64());
-  }
-  if (version >= 3) {
-    int64_t wall = 0;
-    SDCI_READ_OR_RETURN(wall, reader.GetI64());
-    event.hlc.wall_ns = wall;
-    SDCI_READ_OR_RETURN(event.hlc.logical, reader.GetU32());
-    SDCI_READ_OR_RETURN(event.hlc.origin, reader.GetU32());
-  }
-#undef SDCI_READ_OR_RETURN
-  return event;
-}
-
-Result<std::vector<FsEvent>> DecodeLegacyBatch(BinaryReader& reader,
-                                               uint16_t version) {
-  auto count = reader.GetU32();
-  if (!count.ok()) return count.status();
-  // A count claiming more events than the payload could possibly hold is
-  // hostile (reserving it unvalidated would be an allocation bomb). The
-  // divisor is the exact per-version minimum record size, so the guard is
-  // tight: a dense batch of minimal (all-strings-empty) events sits right
-  // at the boundary and still decodes, anything denser is rejected before
-  // the reserve. The per-field reads below are themselves bounds-checked,
-  // so a string length pointing past the buffer fails with a Status
-  // rather than reading out of range.
-  if (*count > reader.Remaining() / MinEncodedEventSize(version)) {
-    return InvalidArgumentError("event count exceeds payload capacity");
-  }
-  std::vector<FsEvent> events;
-  events.reserve(*count);
-  for (uint32_t i = 0; i < *count; ++i) {
-    auto event = DecodeOneLegacy(reader, version);
-    if (!event.ok()) return event.status();
-    events.push_back(std::move(event.value()));
-  }
-  if (!reader.AtEnd()) return InvalidArgumentError("trailing bytes in event batch");
-  return events;
-}
-
-}  // namespace
-
-size_t MinEncodedEventSize(uint16_t version) noexcept {
-  switch (version) {
-    case 1:
-      return kLegacyFixedV1;
-    case 2:
-      return kLegacyFixedV2;
-    case 3:
-      return kLegacyFixedV3;
-    default:
-      // v4: one fixed record plus its three offset-table entries.
-      return wire::kEventStride + 3 * 4;
-  }
-}
-
 std::string EncodeEventBatch(const std::vector<FsEvent>& events) {
   return wire::EncodeEventBatchV4(events.data(), events.size());
 }
 
-std::string EncodeEventBatchLegacy(const std::vector<FsEvent>& events,
-                                   uint16_t version) {
-  if (version < kOldestDecodableWireVersion) version = kOldestDecodableWireVersion;
-  if (version > kNewestLegacyVersion) {
-    return EncodeEventBatch(events);
-  }
-  BinaryWriter writer;
-  writer.PutU16(version);
-  writer.PutU32(static_cast<uint32_t>(events.size()));
-  for (const FsEvent& event : events) EncodeOneLegacy(writer, event, version);
-  return writer.Take();
-}
-
 Result<std::vector<FsEvent>> DecodeEventBatch(std::string_view payload) {
-  BinaryReader reader(payload);
-  auto version = reader.GetU16();
-  if (!version.ok()) return version.status();
-  if (*version < kOldestDecodableWireVersion || *version > kWireCodecVersion) {
-    return InvalidArgumentError(strings::Format("unknown codec version {}", *version));
-  }
-  if (*version == wire::kWireV4) {
-    auto view = wire::EventBatchView::Bind(payload);
-    if (!view.ok()) return view.status();
-    return view->Materialize();
-  }
-  return DecodeLegacyBatch(reader, *version);
+  auto view = wire::EventBatchView::Bind(payload);
+  if (!view.ok()) return view.status();
+  return view->Materialize();
 }
 
 std::string EventTopic(const FsEvent& event) {
@@ -254,25 +96,15 @@ EventBatch::EventBatch(std::vector<FsEvent> events) {
 
 Result<EventBatch> EventBatch::FromPayload(std::shared_ptr<const std::string> payload) {
   if (payload == nullptr) return InvalidArgumentError("null event batch payload");
+  // Validate in place, materialize nothing. The events are decoded lazily
+  // on the first events() call — never, for a batch that only transits
+  // queues and the publish socket.
+  auto view = wire::EventBatchView::Bind(*payload);
+  if (!view.ok()) return view.status();
+  if (view->empty()) return InvalidArgumentError("zero-event batch on the wire");
   auto rep = std::make_shared<Rep>();
-  if (wire::LooksLikeV4(*payload)) {
-    // Flat layout: validate in place, materialize nothing. The events are
-    // decoded lazily on the first events() call — never, for a batch that
-    // only transits queues and the publish socket.
-    auto view = wire::EventBatchView::Bind(*payload);
-    if (!view.ok()) return view.status();
-    if (view->empty()) return InvalidArgumentError("zero-event batch on the wire");
-    rep->count = view->size();
-    rep->first_type = view->type(0);
-  } else {
-    auto events = DecodeEventBatch(*payload);
-    if (!events.ok()) return events.status();
-    if (events->empty()) return InvalidArgumentError("zero-event batch on the wire");
-    rep->events = std::move(events.value());
-    rep->count = rep->events.size();
-    rep->first_type = rep->events.front().type;
-    rep->has_events.store(true, std::memory_order_release);
-  }
+  rep->count = view->size();
+  rep->first_type = view->type(0);
   rep->payload = std::move(payload);
   return EventBatch(std::move(rep));
 }
@@ -319,8 +151,7 @@ std::shared_ptr<const std::string> EventBatch::FlatPayloadV4() const noexcept {
   // Decode-side batches set rep_->payload at construction; encode-side
   // batches leave it null until payload() runs (same published-or-null
   // read SplitByType relies on), so this never races the lazy encode.
-  if (rep_ == nullptr || rep_->payload == nullptr) return nullptr;
-  if (!wire::LooksLikeV4(*rep_->payload)) return nullptr;
+  if (rep_ == nullptr) return nullptr;
   return rep_->payload;
 }
 
@@ -333,7 +164,7 @@ std::vector<EventBatch> EventBatch::SplitByType() const {
   if (empty()) return {};
   if (rep_->payload != nullptr &&
       !rep_->has_events.load(std::memory_order_acquire)) {
-    // v4 lazy batch: answer homogeneity from the flat type column without
+    // Lazy batch: answer homogeneity from the flat type column without
     // materializing anything — the common (single-type) case stays fully
     // zero-copy through the publish path.
     auto view = wire::EventBatchView::Bind(*rep_->payload);

@@ -3,8 +3,8 @@
 // The Collector turns raw ChangeLog records — which identify files by FID —
 // into events carrying user-friendly absolute paths (the paper's
 // "Processing" step). Events travel Collector → Aggregator → consumers as
-// msgq messages; both a compact binary codec (the wire format) and a JSON
-// codec (the historic-events API) are provided.
+// msgq messages; two codecs are provided: the flat v4 binary layout (the
+// one wire format) and JSON (the historic-events API).
 //
 // EventBatch is the unit the pipeline moves: an immutable set of events
 // plus its wire encoding, both shared by reference. A batch is encoded at
@@ -57,7 +57,7 @@ struct FsEvent {
   // the aggregator shard that sequenced the event (origin == shard index).
   // Within one shard HLC order equals global_seq order; across shards it
   // is the total order the federation layer merges by. Zero on events that
-  // never passed through an aggregator (or arrived as codec v2 payloads).
+  // never passed through an aggregator.
   HlcStamp hlc;
 
   [[nodiscard]] size_t ApproxBytes() const noexcept {
@@ -71,30 +71,13 @@ struct FsEvent {
   static Result<FsEvent> FromJson(const json::Value& value);
 };
 
-// Binary wire codec. A message payload holds one batch (>= 1 event).
-//
-// v1-v3 are field-wise streams (v2 appended the trace context, v3 the HLC
-// stamp); v4 is the flat in-place-readable layout (monitor/wire_v4.h).
-// Encoders emit the current version; the decoder accepts all of them, so
-// mixed-version fleets interoperate during a rolling upgrade.
-constexpr uint16_t kWireCodecVersion = 4;
-constexpr uint16_t kOldestDecodableWireVersion = 1;
+// Binary wire codec. A message payload holds one batch (>= 1 event) in
+// the flat, in-place-readable v4 layout (monitor/wire_v4.h). It is the
+// only codec: a payload whose leading version word is anything else is
+// rejected as an unknown codec version, like any other malformed payload.
 
 std::string EncodeEventBatch(const std::vector<FsEvent>& events);
 Result<std::vector<FsEvent>> DecodeEventBatch(std::string_view payload);
-
-// Encodes with an older wire version (1-3): what a not-yet-upgraded
-// collector puts on the wire. Mixed-version tests and the codec benches
-// use this; new code always encodes the current version.
-std::string EncodeEventBatchLegacy(const std::vector<FsEvent>& events,
-                                   uint16_t version);
-
-// Exact minimum encoded size of one event under `version` (all strings
-// empty) — the divisor of the decoder's count-sanity guard, derived from
-// the actual fixed-field sizes so a legitimately dense batch is never
-// rejected and a hostile count never reserves beyond what the payload
-// could hold.
-size_t MinEncodedEventSize(uint16_t version) noexcept;
 
 // Topic used on the aggregator's public stream for one event, e.g.
 // "fsevent.CREAT". Consumers can prefix-filter on "fsevent." or a type.
@@ -116,17 +99,16 @@ class EventBatch {
 
   // Decode-side construction: validates the wire bytes and shares (not
   // copies) them as the batch's encoding. Rejects malformed payloads and
-  // zero-event batches (a wire message carries >= 1 event). For a v4
-  // payload validation is an in-place scan and NO events are materialized:
-  // size()/Topic() are answered from the flat layout, and the owning
-  // FsEvents exist only once a consumer first calls events() (the
-  // store/catalog boundary, the history API). Legacy v1-v3 payloads are
-  // decoded eagerly as before.
+  // zero-event batches (a wire message carries >= 1 event). Validation is
+  // an in-place scan and NO events are materialized: size()/Topic() are
+  // answered from the flat layout, and the owning FsEvents exist only once
+  // a consumer first calls events() (the store/catalog boundary, the
+  // history API).
   static Result<EventBatch> FromPayload(std::shared_ptr<const std::string> payload);
   static Result<EventBatch> FromPayload(std::string payload);
 
-  // Owning events; for a lazily-validated v4 batch the first call
-  // materializes them (thread-safe, at most once per batch).
+  // Owning events; for a decode-side batch the first call materializes
+  // them (thread-safe, at most once per batch).
   [[nodiscard]] const std::vector<FsEvent>& events() const noexcept;
   [[nodiscard]] size_t size() const noexcept;
   [[nodiscard]] bool empty() const noexcept { return size() == 0; }
@@ -135,9 +117,9 @@ class EventBatch {
   // Thread-safe (batches are shared across pipeline threads).
   [[nodiscard]] std::shared_ptr<const std::string> payload() const;
 
-  // The already-validated v4 wire bytes backing this batch, or null when
-  // the batch did not arrive as a v4 payload (encode-side construction,
-  // legacy v1-v3). Never triggers an encode or a materialization:
+  // The validated v4 wire bytes backing this batch, or null while it has
+  // none (an encode-side batch before its first payload() call). Never
+  // triggers an encode or a materialization:
   // zero-copy consumers (the agent's rule filter) Bind an EventBatchView
   // over these bytes and read paths as string_views in place.
   [[nodiscard]] std::shared_ptr<const std::string> FlatPayloadV4() const noexcept;

@@ -81,13 +81,11 @@ IngestPipeline::IngestPipeline(const lustre::TestbedProfile& profile,
 void IngestPipeline::Start() {
   {
     const std::lock_guard<std::mutex> lock(pool_mutex_);
-    // SPSC feed: the receiver thread is the pool's only submitter, so each
-    // decode worker is fed through a lock-free ring instead of the shared
-    // mutex queue — the receiver->decode hand-off is the hottest hop on
-    // the ingest side.
+    // The receiver thread is the pool's only submitter (the SPSC feed's
+    // contract) — the receiver->decode hand-off is the hottest hop on the
+    // ingest side.
     pool_ = std::make_unique<ThreadPool>(config_->IngestWorkers(),
-                                         config_->IngestWindow(),
-                                         ThreadPool::FeedMode::kSpscRings);
+                                         config_->IngestWindow());
     worker_budgets_.clear();
     for (size_t i = 0; i < config_->IngestWorkers(); ++i) {
       worker_budgets_.push_back(std::make_unique<DelayBudget>(*authority_));
@@ -158,77 +156,47 @@ void IngestPipeline::DecodeTask(uint64_t ticket, msgq::Message message,
                                 size_t worker) {
   DecodedMessage out;
   out.decode_start = tracer_ != nullptr ? authority_->Now() : VirtualTime{};
+  // One byte copy into a private mutable buffer (the socket payload is
+  // shared with other subscribers, so it cannot be patched in place), then
+  // validation is a header + offset-table scan — no FsEvent is
+  // materialized anywhere in this pipeline. The sequencer later stamps
+  // global_seq / HLC straight into the buffer and freezes it as the
+  // publish payload. Payloads that are malformed, carry zero events (the
+  // wire contract is >= 1 event) or any codec version but v4 are released
+  // as decode errors.
   const std::string_view bytes = message.bytes();
-  if (wire::LooksLikeV4(bytes)) {
-    // Flat v4 fast path: one byte copy into a private mutable buffer (the
-    // socket payload is shared with other subscribers, so it cannot be
-    // patched in place), then validation is a header + offset-table scan —
-    // no FsEvent is materialized anywhere in this pipeline. The sequencer
-    // later stamps global_seq / HLC straight into the buffer and freezes
-    // it as the publish payload.
-    out.v4.assign(bytes.data(), bytes.size());
-    auto view = wire::EventBatchView::Bind(out.v4);
-    if (view.ok() && !view->empty()) {
-      const size_t count = view->size();
-      out.ok = true;
-      out.v4_count = static_cast<uint32_t>(count);
-      out.last_time = view->time(count - 1);
-      if (wm_decode_ != nullptr) wm_decode_->Advance(out.last_time);
-      // In-place validation is what the cheaper v4 ingest cost models;
-      // bench_throughput's codec sweep backs the ratio to the legacy cost.
-      DelayBudget& budget = *worker_budgets_[worker];
-      budget.Charge(profile_.aggregator_ingest_latency_v4 *
-                    static_cast<int64_t>(count));
-      budget.Flush();
-      if (tracer_ != nullptr) {
-        out.decode_end = authority_->Now();
-        wire::MutableBatchV4 mut(out.v4);
-        for (size_t i = 0; i < count; ++i) {
-          const uint64_t trace_id = view->trace_id(i);
-          if (trace_id == 0) continue;
-          const uint64_t span_id = tracer_->NewSpanId();
-          tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
-                               std::string(trace::kAggregatorDecode), "aggregator",
-                               out.decode_start, out.decode_end - out.decode_start});
-          mut.SetParentSpan(i, span_id);
-        }
-      }
-    } else {
-      out.v4.clear();  // malformed; released as a decode error
-    }
+  out.v4.assign(bytes.data(), bytes.size());
+  auto view = wire::EventBatchView::Bind(out.v4);
+  if (!view.ok() || view->empty()) {
+    out.v4.clear();
     reorder_.Complete(ticket, std::move(out));
     return;
   }
-  // Legacy (v1-v3) path: decode the collector message exactly once;
-  // everything downstream shares the decoded batch. Zero-event payloads
-  // are hostile (the wire contract is >= 1 event) and counted with the
-  // malformed ones.
-  auto events = DecodeEventBatch(bytes);
-  if (events.ok() && !events->empty()) {
-    out.ok = true;
-    out.events = std::move(events.value());
-    out.last_time = out.events.back().time;
-    if (wm_decode_ != nullptr) wm_decode_->Advance(out.last_time);
-    // The modeled per-event ingest cost lands on this worker's budget:
-    // with N workers the latency overlaps N-ways, which is exactly the
-    // concurrency the decode pool exists to buy.
-    DelayBudget& budget = *worker_budgets_[worker];
-    budget.Charge(profile_.aggregator_ingest_latency *
-                  static_cast<int64_t>(out.events.size()));
-    budget.Flush();
-    if (tracer_ != nullptr) {
-      // Each traced event gets a decode span hung off the collector's
-      // publish span; the sequencer re-parents the event onto its ingest
-      // span next, keeping the chain publish -> decode -> ingest.
-      out.decode_end = authority_->Now();
-      for (FsEvent& event : out.events) {
-        if (event.trace_id == 0) continue;
-        const uint64_t span_id = tracer_->NewSpanId();
-        tracer_->RecordSpan({event.trace_id, span_id, event.parent_span,
-                             std::string(trace::kAggregatorDecode), "aggregator",
-                             out.decode_start, out.decode_end - out.decode_start});
-        event.parent_span = span_id;
-      }
+  const size_t count = view->size();
+  out.ok = true;
+  out.v4_count = static_cast<uint32_t>(count);
+  out.last_time = view->time(count - 1);
+  if (wm_decode_ != nullptr) wm_decode_->Advance(out.last_time);
+  // The modeled per-event ingest cost lands on this worker's budget: with
+  // N workers the latency overlaps N-ways, which is exactly the
+  // concurrency the decode pool exists to buy.
+  DelayBudget& budget = *worker_budgets_[worker];
+  budget.Charge(profile_.aggregator_ingest_latency * static_cast<int64_t>(count));
+  budget.Flush();
+  if (tracer_ != nullptr) {
+    // Each traced event gets a decode span hung off the collector's
+    // publish span; the sequencer re-parents the event onto its ingest
+    // span next, keeping the chain publish -> decode -> ingest.
+    out.decode_end = authority_->Now();
+    wire::MutableBatchV4 mut(out.v4);
+    for (size_t i = 0; i < count; ++i) {
+      const uint64_t trace_id = view->trace_id(i);
+      if (trace_id == 0) continue;
+      const uint64_t span_id = tracer_->NewSpanId();
+      tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
+                           std::string(trace::kAggregatorDecode), "aggregator",
+                           out.decode_start, out.decode_end - out.decode_start});
+      mut.SetParentSpan(i, span_id);
     }
   }
   reorder_.Complete(ticket, std::move(out));
@@ -265,9 +233,7 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
       instruments_.decode_errors->Add();
       continue;
     }
-    const bool v4 = !item.v4.empty();
-    const auto count =
-        v4 ? uint64_t{item.v4_count} : static_cast<uint64_t>(item.events.size());
+    const uint64_t count = item.v4_count;
     const VirtualTime now = authority_->Now();
     // One sequence range per batch, assigned in arrival (ticket) order by
     // this single sequencer: one atomic op instead of one per event, and
@@ -275,66 +241,45 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
     // decode workers raced ahead.
     const uint64_t base = next_seq_.fetch_add(count, std::memory_order_relaxed);
     watermark = base + count;
-    EventBatch batch;
-    if (v4) {
-      // Stamp-in-place: global_seq and the HLC stamp land at fixed offsets
-      // in the flat buffer — no decode, no re-encode. The buffer then
-      // freezes as the batch's (and the publish message's) payload; the
-      // only per-field materialization left is at the store boundary.
-      {
-        wire::MutableBatchV4 mut(item.v4);
-        for (uint64_t i = 0; i < count; ++i) {
-          mut.SetGlobalSeq(i, base + i);
-          // HLC stamps ride the same single-threaded assignment, so within
-          // a shard HLC order equals sequence order; across shards the
-          // stamps are the total order the federation layer merges by.
-          mut.SetHlc(i, hlc_.Tick(now));
-        }
-        if (tracer_ != nullptr) {
-          const VirtualTime ingest_end = authority_->Now();
-          auto view = wire::EventBatchView::Bind(item.v4);
-          if (view.ok()) {
-            for (uint64_t i = 0; i < count; ++i) {
-              const uint64_t trace_id = view->trace_id(i);
-              if (trace_id == 0) continue;
-              const uint64_t span_id = tracer_->NewSpanId();
-              tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
-                                   std::string(trace::kAggregatorIngest),
-                                   "aggregator", now, ingest_end - now});
-              mut.SetParentSpan(i, span_id);
-              pending.push_back({trace_id, span_id});
-            }
-          }
-        }
-      }
-      auto bound = EventBatch::FromPayload(std::move(item.v4));
-      if (!bound.ok()) {
-        // Unreachable by construction (the decode stage validated these
-        // bytes and only fixed-offset fields changed), but never let a
-        // malformed buffer past the sequencer.
-        instruments_.decode_errors->Add();
-        continue;
-      }
-      batch = std::move(bound.value());
-    } else {
+    // Stamp-in-place: global_seq and the HLC stamp land at fixed offsets in
+    // the flat buffer — no decode, no re-encode. The buffer then freezes as
+    // the batch's (and the publish message's) payload; the only per-field
+    // materialization left is at the store boundary.
+    {
+      wire::MutableBatchV4 mut(item.v4);
       for (uint64_t i = 0; i < count; ++i) {
-        item.events[i].global_seq = base + i;
-        item.events[i].hlc = hlc_.Tick(now);
+        mut.SetGlobalSeq(i, base + i);
+        // HLC stamps ride the same single-threaded assignment, so within a
+        // shard HLC order equals sequence order; across shards the stamps
+        // are the total order the federation layer merges by.
+        mut.SetHlc(i, hlc_.Tick(now));
       }
       if (tracer_ != nullptr) {
         const VirtualTime ingest_end = authority_->Now();
-        for (FsEvent& event : item.events) {
-          if (event.trace_id == 0) continue;
-          const uint64_t span_id = tracer_->NewSpanId();
-          tracer_->RecordSpan({event.trace_id, span_id, event.parent_span,
-                               std::string(trace::kAggregatorIngest), "aggregator",
-                               now, ingest_end - now});
-          event.parent_span = span_id;
-          pending.push_back({event.trace_id, span_id});
+        auto view = wire::EventBatchView::Bind(item.v4);
+        if (view.ok()) {
+          for (uint64_t i = 0; i < count; ++i) {
+            const uint64_t trace_id = view->trace_id(i);
+            if (trace_id == 0) continue;
+            const uint64_t span_id = tracer_->NewSpanId();
+            tracer_->RecordSpan({trace_id, span_id, view->parent_span(i),
+                                 std::string(trace::kAggregatorIngest), "aggregator",
+                                 now, ingest_end - now});
+            mut.SetParentSpan(i, span_id);
+            pending.push_back({trace_id, span_id});
+          }
         }
       }
-      batch = EventBatch(std::move(item.events));
     }
+    auto bound = EventBatch::FromPayload(std::move(item.v4));
+    if (!bound.ok()) {
+      // Unreachable by construction (the decode stage validated these bytes
+      // and only fixed-offset fields changed), but never let a malformed
+      // buffer past the sequencer.
+      instruments_.decode_errors->Add();
+      continue;
+    }
+    EventBatch batch = std::move(bound.value());
     instruments_.received->Add(count);
     instruments_.batches_received->Add();
     group_events += count;

@@ -87,13 +87,12 @@ class IngestPipeline {
   // payloads (counted as decode errors when the ticket is released, so
   // the error counter stays in arrival order too).
   //
-  // A v4 message never decodes into FsEvents here: the validated wire
-  // bytes travel in `v4` (mutable — the sequencer stamps global_seq / HLC
-  // straight into the fixed-offset fields), and `events` stays empty.
+  // A message never decodes into FsEvents here: the validated wire bytes
+  // travel in `v4` (mutable — the sequencer stamps global_seq / HLC
+  // straight into the fixed-offset fields).
   struct DecodedMessage {
     bool ok = false;
-    std::vector<FsEvent> events;  // legacy (v1-v3) messages only
-    std::string v4;               // flat v4 payload; empty on the legacy path
+    std::string v4;               // flat v4 payload; empty when !ok
     uint32_t v4_count = 0;
     VirtualTime last_time{};      // newest event birth time in the message
     VirtualTime decode_start{};

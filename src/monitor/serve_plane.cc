@@ -82,46 +82,33 @@ void ServePlane::PublishLoop() {
       // payload() encodes the batch once; fan-out below shares those bytes
       // across every subscriber queue.
       const std::shared_ptr<const std::string> payload = batch.payload();
-      msgq::Message message(batch.Topic(), payload);
-      const VirtualTime now = authority_->Now();
       // Per-event bookkeeping (delivery latency, trace spans, watermark)
-      // reads through the flat view when the payload is v4, so publishing
-      // never forces a lazily-validated batch to materialize owning
-      // FsEvents; only legacy payloads fall back to batch.events().
+      // reads through the flat view, so publishing never forces a
+      // lazily-validated batch to materialize owning FsEvents.
       const auto view = wire::EventBatchView::Bind(*payload);
-      if (view.ok()) {
-        const size_t count = view->size();
+      if (!view.ok()) {
+        // Unreachable by construction (every payload here was encoded or
+        // validated by this shard), but never publish a malformed buffer.
+        instruments_.decode_errors->Add();
+        if (discarded_ != nullptr) discarded_->Add(batch.size());
+        continue;
+      }
+      const VirtualTime now = authority_->Now();
+      const size_t count = view->size();
+      for (size_t i = 0; i < count; ++i) {
+        instruments_.delivery_latency->Record(now - view->time(i));
+      }
+      pub_->Publish(msgq::Message(batch.Topic(), payload));
+      if (tracer_ != nullptr) {
         for (size_t i = 0; i < count; ++i) {
-          instruments_.delivery_latency->Record(now - view->time(i));
+          if (view->trace_id(i) == 0) continue;
+          tracer_->Record(view->trace_id(i), view->parent_span(i),
+                          trace::kAggregatorPublish, "aggregator", now,
+                          authority_->Now());
         }
-        pub_->Publish(std::move(message));
-        if (tracer_ != nullptr) {
-          for (size_t i = 0; i < count; ++i) {
-            if (view->trace_id(i) == 0) continue;
-            tracer_->Record(view->trace_id(i), view->parent_span(i),
-                            trace::kAggregatorPublish, "aggregator", now,
-                            authority_->Now());
-          }
-        }
-        if (wm_publish_ != nullptr && count > 0) {
-          wm_publish_->Advance(view->time(count - 1));
-        }
-      } else {
-        for (const FsEvent& event : batch.events()) {
-          instruments_.delivery_latency->Record(now - event.time);
-        }
-        pub_->Publish(std::move(message));
-        if (tracer_ != nullptr) {
-          for (const FsEvent& event : batch.events()) {
-            if (event.trace_id == 0) continue;
-            tracer_->Record(event.trace_id, event.parent_span,
-                            trace::kAggregatorPublish, "aggregator", now,
-                            authority_->Now());
-          }
-        }
-        if (wm_publish_ != nullptr && !batch.events().empty()) {
-          wm_publish_->Advance(batch.events().back().time);
-        }
+      }
+      if (wm_publish_ != nullptr && count > 0) {
+        wm_publish_->Advance(view->time(count - 1));
       }
       instruments_.published->Add(batch.size());
       instruments_.batches_published->Add();

@@ -33,6 +33,7 @@ class ServePlane {
     std::shared_ptr<Counter> published;
     std::shared_ptr<Counter> batches_published;
     std::shared_ptr<LatencyHistogram> delivery_latency;
+    std::shared_ptr<Counter> decode_errors;  // shared with the ingest side
   };
 
   ServePlane(const TimeAuthority& authority, msgq::Context& context,
@@ -80,7 +81,7 @@ class ServePlane {
   // without a ledger / watermark registry). `discarded_` is the same
   // counter the ingest pipeline books its crash-path abandonments into —
   // both sides resolve it through FlowLedger::Account's create-or-get.
-  std::shared_ptr<Counter> discarded_;  // shard.publish out (crash)
+  std::shared_ptr<Counter> discarded_;  // shard.publish out (crash, malformed)
   std::shared_ptr<StageWatermark> wm_publish_;
 
   std::jthread publish_thread_;

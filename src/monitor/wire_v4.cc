@@ -1,5 +1,6 @@
 #include "monitor/wire_v4.h"
 
+#include "common/strings.h"
 #include "lustre/changelog.h"
 
 namespace sdci::monitor::wire {
@@ -89,14 +90,21 @@ std::string EncodeEventBatchV4(const FsEvent* events, size_t count,
 Result<EventBatchView> EventBatchView::Bind(std::string_view payload) {
   // All arithmetic below is u64 on values bounded by u32 fields, so a
   // hostile count/offset cannot overflow size_t on 64-bit targets.
+  // The version word is checked first, so any payload that is not v4 is
+  // rejected as an unknown codec version however short it is.
+  uint16_t version = 0;
+  if (payload.size() < sizeof(version)) {
+    return InvalidArgumentError("payload shorter than its codec version");
+  }
+  std::memcpy(&version, payload.data(), sizeof(version));
+  if (version != kWireV4) {
+    return InvalidArgumentError(strings::Format("unknown codec version {}", version));
+  }
   if (payload.size() < kHeaderSize) {
     return InvalidArgumentError("v4 batch shorter than its header");
   }
   BatchHeaderV4 header;
   std::memcpy(&header, payload.data(), kHeaderSize);
-  if (header.version != kWireV4) {
-    return InvalidArgumentError("not a v4 batch");
-  }
   if (header.header_size != kHeaderSize || header.magic != kWireV4Magic ||
       header.flags != 0) {
     return InvalidArgumentError("corrupt v4 batch header");

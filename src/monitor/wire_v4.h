@@ -1,7 +1,7 @@
 // Flat wire format v4: the zero-copy event batch layout.
 //
-// Unlike v1-v3 (field-wise streams decoded into owning FsEvents), a v4
-// payload is readable in place: a fixed-size batch header, `count` packed
+// The pipeline's only wire codec. Unlike a field-wise stream decoded into
+// owning FsEvents, a v4 payload is readable in place: a fixed-size batch header, `count` packed
 // fixed-width event records, a cumulative string-offset table, then one
 // string heap. Decoding is a pointer-cast-plus-validate — an O(count)
 // scan of the offset table and type bytes, no allocations — after which
@@ -58,7 +58,7 @@ constexpr uint32_t kWireV4Magic = 0x31434453u;
 // to these types is well-defined, and member reads compile to
 // unaligned-safe loads (UBSan-clean regardless of where the payload sits).
 struct BatchHeaderV4 {
-  uint16_t version;      // == kWireV4 (first u16: shared with v1-v3 dispatch)
+  uint16_t version;      // == kWireV4 (any other value: unknown codec version)
   uint16_t header_size;  // == sizeof(BatchHeaderV4)
   uint32_t count;        // events in the batch
   uint32_t events_off;   // == header_size

@@ -28,6 +28,7 @@ Agent::Agent(AgentConfig config, lustre::FileSystem& storage, CloudService& clou
   actions_failed_ = metrics_->GetCounter("sdci_agent_actions_failed_total", labels);
   actions_retried_ = metrics_->GetCounter("sdci_agent_actions_retried_total", labels);
   actions_deduped_ = metrics_->GetCounter("sdci_agent_actions_deduped_total", labels);
+  actions_rejected_ = metrics_->GetCounter("sdci_agent_actions_rejected_total", labels);
   if (config_.watermarks != nullptr) {
     wm_rule_eval_ = config_.watermarks->Handle(trace::kAgentRuleEval, config_.name);
     wm_execute_ = config_.watermarks->Handle(trace::kActionExecute, config_.name);
@@ -43,10 +44,12 @@ Agent::Agent(AgentConfig config, lustre::FileSystem& storage, CloudService& clou
     flow.Bind("agent.report", inst, FlowKind::kIn, "matched", events_matched_);
     flow.Bind("agent.report", inst, FlowKind::kOut, "reported", events_reported_);
     flow.Bind("agent.report", inst, FlowKind::kOut, "failed", report_failures_);
-    // agent.actions: cloud deliveries are deduped, executed or failed;
-    // the queue depth is the held in-flight.
+    // agent.actions: cloud deliveries are deduped, rejected (the queue
+    // closed under them), executed or failed; the queue depth is the held
+    // in-flight.
     flow.Bind("agent.actions", inst, FlowKind::kIn, "received", actions_received_);
     flow.Bind("agent.actions", inst, FlowKind::kOut, "deduped", actions_deduped_);
+    flow.Bind("agent.actions", inst, FlowKind::kOut, "rejected", actions_rejected_);
     flow.Bind("agent.actions", inst, FlowKind::kOut, "executed", actions_executed_);
     flow.Bind("agent.actions", inst, FlowKind::kOut, "failed", actions_failed_);
     flow.BindCallback(
@@ -208,10 +211,10 @@ void Agent::DeliverEvent(const monitor::FsEvent& event) {
 }
 
 void Agent::DeliverBatch(const monitor::EventBatch& batch) {
-  // v4 batches are filtered in place: paths probe the index as
-  // string_views into the wire bytes, and only matching (or traced)
-  // events ever materialize an FsEvent. Legacy batches fall back to the
-  // per-event path over the decoded events.
+  // Batches that arrived as wire bytes are filtered in place: paths probe
+  // the index as string_views into the payload, and only matching (or
+  // traced) events ever materialize an FsEvent. A batch with no wire bytes
+  // yet (built from FsEvents and never encoded) takes the per-event path.
   if (const auto payload = batch.FlatPayloadV4()) {
     auto view = monitor::wire::EventBatchView::Bind(*payload);
     if (view.ok()) {
@@ -285,8 +288,9 @@ void Agent::ReportWithRetry(const monitor::FsEvent& event) {
 
 Status Agent::EnqueueAction(ActionRequest request) {
   actions_received_->Add();
+  std::string key;
   if (config_.dedupe_actions) {
-    const std::string key = ActionKey(request);
+    key = ActionKey(request);
     const std::lock_guard<std::mutex> lock(dedupe_mutex_);
     if (dedupe_.Get(key).has_value()) {
       actions_deduped_->Add();
@@ -294,7 +298,18 @@ Status Agent::EnqueueAction(ActionRequest request) {
     }
     dedupe_.Put(key, true);
   }
-  return action_queue_.Push(std::move(request));
+  Status pushed = action_queue_.Push(std::move(request));
+  if (!pushed.ok()) {
+    // Not accepted (the agent is stopping): forget the key, so a
+    // redelivery is refused again instead of deduped against an action
+    // that never ran, and book the delivery so the ledger balances.
+    if (config_.dedupe_actions) {
+      const std::lock_guard<std::mutex> lock(dedupe_mutex_);
+      dedupe_.Erase(key);
+    }
+    actions_rejected_->Add();
+  }
+  return pushed;
 }
 
 std::string Agent::ActionKey(const ActionRequest& request) {

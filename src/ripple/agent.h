@@ -204,6 +204,7 @@ class Agent {
   std::shared_ptr<Counter> actions_failed_;
   std::shared_ptr<Counter> actions_retried_;
   std::shared_ptr<Counter> actions_deduped_;
+  std::shared_ptr<Counter> actions_rejected_;  // queue closed on delivery
 
   // Flow-ledger extras and stage watermarks (null when config_.flow /
   // config_.watermarks are unset). `unmatched_` closes the rule_eval row:

@@ -170,11 +170,13 @@ TEST_F(AggregatorSupervisorTest, CrashProbSelfInjectsAndPipelineKeepsAssigning) 
   }));
 
   // Despite repeated crashes the watermark only ever moved forward, and
-  // every assigned sequence is in the WAL.
+  // every assigned sequence is in the WAL. Both are read once the publisher
+  // has stopped sending and the supervisor has quiesced: while a sequencer
+  // still runs, a group commit can land between the two reads.
+  supervisor.Stop();
   const uint64_t assigned = supervisor.NextSeq() - 1;
   EXPECT_GT(assigned, 0u);
   EXPECT_EQ(supervisor.Stats().checkpointed, assigned);
-  supervisor.Stop();
 }
 
 TEST_F(AggregatorSupervisorTest, InjectCrashWhileDownIsHarmless) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "monitor/consumer.h"
+#include "monitor/flow_ledger.h"
 
 namespace sdci::monitor {
 namespace {
@@ -171,6 +172,44 @@ TEST_F(AggregatorTest, MalformedPayloadCountedNotFatal) {
   aggregator.Stop();
   EXPECT_EQ(aggregator.Stats().decode_errors, 1u);
   EXPECT_EQ(aggregator.Stats().stored, 1u);
+}
+
+TEST_F(AggregatorTest, RetiredCodecVersionRejectedBetweenValidBatches) {
+  // A collector still speaking the retired field-wise codec (version 3)
+  // sends between two v4 batches. Its payload is counted as one decode
+  // error; both v4 batches are sequenced densely around it and the flow
+  // ledger stays balanced (a rejected message is never sequenced).
+  auto config = Config();
+  config.expected_decode_errors = 1;  // fed on purpose below
+  auto flow = std::make_shared<FlowLedger>();
+  config.flow = flow;
+  Aggregator aggregator(profile_, authority_, context_, config);
+  EventSubscriber consumer(context_, config.publish_endpoint);
+  auto pub = context_.CreatePub(config.collect_endpoint);
+  aggregator.Start();
+  Send(*pub, {Event(1), Event(2)});
+  // A well-formed v3 batch of one minimal event: u16 version, u32 count,
+  // then the 109 fixed bytes of one record with every string empty.
+  std::string v3("\x03\x00\x01\x00\x00\x00", 6);
+  v3.append(109, '\0');
+  pub->Publish(msgq::Message("collect.mdt0", v3));
+  Send(*pub, {Event(3)});
+  for (uint64_t expected_seq = 1; expected_seq <= 3; ++expected_seq) {
+    auto event = consumer.NextFor(std::chrono::seconds(5));
+    ASSERT_TRUE(event.ok()) << event.status().ToString();
+    EXPECT_EQ(event->global_seq, expected_seq);
+    EXPECT_EQ(event->path, "/p/f" + std::to_string(expected_seq));
+  }
+  WaitForReceived(aggregator, 3);
+  aggregator.Stop();
+  EXPECT_EQ(aggregator.Stats().decode_errors, 1u);
+  EXPECT_EQ(aggregator.Stats().batches_received, 2u);
+  EXPECT_EQ(aggregator.Stats().stored, 3u);
+  const auto audit = flow->Audit();
+  EXPECT_TRUE(audit.balanced);
+  for (const FlowLedger::Row& row : audit.rows) {
+    EXPECT_EQ(row.imbalance, 0) << row.boundary << "/" << row.instance;
+  }
 }
 
 TEST_F(AggregatorTest, HistoryApiServesQueries) {

@@ -183,6 +183,39 @@ TEST_F(CloudAgentTest, DedupeDisabledExecutesDuplicates) {
   EXPECT_EQ(agent.outbox().Count(), 2u);
 }
 
+TEST_F(CloudAgentTest, DeliveriesRefusedAfterStopAreNeverDedupedAndStayBooked) {
+  // A delivery that races Stop() is refused with kClosed. Its dedupe key
+  // must not outlive the refusal: a redelivery of the same action has to
+  // be refused again, not acknowledged as a duplicate of an action that
+  // never ran. Both deliveries land in an agent.actions out-term.
+  CloudService cloud(authority_, FastCloud());
+  auto flow = std::make_shared<FlowLedger>();
+  AgentConfig config;
+  config.name = "hpc";
+  config.flow = flow;
+  Agent agent(config, fs_, cloud, endpoints_, authority_);
+  agent.Start();
+  agent.Stop();
+  ActionRequest request;
+  request.rule_id = "r1";
+  request.spec = EmailRule("r1", "hpc").action;
+  request.event = CreateEvent("/late.h5", 7);
+  request.event.record_index = 42;
+  EXPECT_EQ(agent.EnqueueAction(request).code(), StatusCode::kClosed);
+  EXPECT_EQ(agent.EnqueueAction(request).code(), StatusCode::kClosed)
+      << "the redelivery was deduped against a refused action";
+  EXPECT_EQ(agent.Stats().actions_received, 2u);
+  EXPECT_EQ(agent.Stats().actions_deduped, 0u);
+  bool found = false;
+  for (const FlowLedger::Row& row : flow->Audit().rows) {
+    if (row.boundary != "agent.actions") continue;
+    found = true;
+    EXPECT_EQ(row.in, 2);
+    EXPECT_EQ(row.imbalance, 0);
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST_F(CloudAgentTest, ThreadedWorkersProcessQueue) {
   CloudService cloud(authority_, FastCloud());
   auto agent = MakeAgent(cloud, "hpc");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "monitor/wire_v4.h"
@@ -72,77 +73,23 @@ TEST(EventCodec, RejectsBadVersionAndType) {
   payload[0] = 0x7F;  // clobber version
   EXPECT_FALSE(DecodeEventBatch(payload).ok());
 
+  // v4 is the only codec: the retired field-wise versions 1-3 are unknown
+  // versions like any other, however well-formed the rest of the payload.
+  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
+    payload = EncodeEventBatch({SampleEvent()});
+    std::memcpy(payload.data(), &version, sizeof(version));
+    auto decoded = DecodeEventBatch(payload);
+    ASSERT_FALSE(decoded.ok()) << "v" << version;
+    EXPECT_NE(decoded.status().ToString().find("unknown codec version"),
+              std::string::npos)
+        << decoded.status().ToString();
+    EXPECT_FALSE(EventBatch::FromPayload(payload).ok()) << "v" << version;
+  }
+
   payload = EncodeEventBatch({SampleEvent()});
   // v4 type field: u32 at header(32) + record offset 96 = byte 128.
   payload[wire::kHeaderSize + 96] = 99;
   EXPECT_FALSE(DecodeEventBatch(payload).ok());
-}
-
-TEST(EventCodec, LegacyVersionsStillDecode) {
-  // A mixed-version fleet: not-yet-upgraded collectors put v1-v3 on the
-  // wire and the aggregator must decode every one of them. v2 added the
-  // trace context, v3 the HLC stamp; fields a version predates decode as
-  // their zero values.
-  std::vector<FsEvent> batch{SampleEvent(1), SampleEvent(2)};
-  batch[1].type = lustre::ChangeLogType::kRename;
-  batch[1].source_path = "/proj/old/scan.h5";
-  batch[0].trace_id = 0xabcdef01;
-  batch[0].parent_span = 0x55;
-  batch[0].hlc = HlcStamp{123456789, 7, 3};
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    const std::string payload = EncodeEventBatchLegacy(batch, version);
-    auto decoded = DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
-    ASSERT_EQ(decoded->size(), 2u) << "v" << version;
-    for (size_t i = 0; i < 2; ++i) ExpectEventsEqual((*decoded)[i], batch[i]);
-    EXPECT_EQ((*decoded)[0].trace_id, version >= 2 ? batch[0].trace_id : 0u);
-    EXPECT_EQ((*decoded)[0].parent_span,
-              version >= 2 ? batch[0].parent_span : 0u);
-    EXPECT_EQ((*decoded)[0].hlc, version >= 3 ? batch[0].hlc : HlcStamp{});
-  }
-}
-
-TEST(EventCodec, CountGuardAcceptsDenseMinimalBatches) {
-  // Regression for the count-sanity guard: a batch of all-empty-string
-  // events is the densest legal encoding. The old guard divided by a loose
-  // flat constant; the guard must accept exactly this batch at every
-  // version (the divisor is now derived from the real fixed-field sizes).
-  std::vector<FsEvent> batch(5);
-  for (size_t i = 0; i < batch.size(); ++i) batch[i].global_seq = i + 1;
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    const std::string payload = EncodeEventBatchLegacy(batch, version);
-    // The payload is exactly header + count * min: one byte fewer and the
-    // same count must be rejected, which pins the divisor to the true
-    // per-version minimum (no slack in either direction).
-    EXPECT_EQ(payload.size(), 2 + 4 + batch.size() * MinEncodedEventSize(version))
-        << "v" << version;
-    auto decoded = DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
-    EXPECT_EQ(decoded->size(), batch.size());
-  }
-  auto v4 = DecodeEventBatch(EncodeEventBatch(batch));
-  ASSERT_TRUE(v4.ok());
-  EXPECT_EQ(v4->size(), batch.size());
-}
-
-TEST(EventCodec, CountGuardRejectsHostileCountWithoutOverReserve) {
-  // A hostile count claiming more events than the remaining bytes could
-  // possibly hold must be rejected up front (before any reserve).
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3}}) {
-    std::string payload = EncodeEventBatchLegacy({SampleEvent()}, version);
-    // Count field: u32 at byte 2. 0xFFFFFFFF events cannot fit.
-    payload[2] = '\xff';
-    payload[3] = '\xff';
-    payload[4] = '\xff';
-    payload[5] = '\xff';
-    EXPECT_FALSE(DecodeEventBatch(payload).ok()) << "v" << version;
-    // Boundary: claim exactly one event more than the bytes support.
-    payload = EncodeEventBatchLegacy({SampleEvent()}, version);
-    payload[2] = 2;
-    EXPECT_FALSE(DecodeEventBatch(payload).ok()) << "v" << version;
-  }
 }
 
 TEST(EventJson, RoundTrip) {

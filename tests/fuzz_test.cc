@@ -102,59 +102,60 @@ monitor::FsEvent RandomEvent(Rng& rng) {
   return event;
 }
 
-TEST_P(FuzzTest, MixedVersionFleetRoundTripsOrRejectsCleanly) {
-  // The rolling-upgrade property: a decoder facing all four wire versions
-  // at once (one not-yet-upgraded collector per version) round-trips every
-  // well-formed payload exactly, regardless of version interleaving.
+void ExpectEveryFieldEqual(const monitor::FsEvent& got, const monitor::FsEvent& want) {
+  EXPECT_EQ(got.mdt_index, want.mdt_index);
+  EXPECT_EQ(got.record_index, want.record_index);
+  EXPECT_EQ(got.global_seq, want.global_seq);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.flags, want.flags);
+  EXPECT_EQ(got.path, want.path);
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(got.source_path, want.source_path);
+  EXPECT_EQ(got.target_fid, want.target_fid);
+  EXPECT_EQ(got.parent_fid, want.parent_fid);
+  EXPECT_EQ(got.trace_id, want.trace_id);
+  EXPECT_EQ(got.parent_span, want.parent_span);
+  EXPECT_EQ(got.hlc, want.hlc);
+}
+
+TEST_P(FuzzTest, V4RoundTripsEveryFieldExactly) {
+  // Every well-formed batch round-trips field for field — provenance,
+  // payload, trace context and HLC stamp — through both decode entry
+  // points: the eager decoder and the lazily-validated EventBatch.
   Rng rng(GetParam() ^ 0x4F1E);
   for (int round = 0; round < 200; ++round) {
     std::vector<monitor::FsEvent> events;
     const size_t count = 1 + rng.NextBelow(16);
     for (size_t i = 0; i < count; ++i) events.push_back(RandomEvent(rng));
-    const uint16_t version = static_cast<uint16_t>(1 + rng.NextBelow(4));
-    const std::string payload =
-        version >= monitor::kWireCodecVersion
-            ? monitor::EncodeEventBatch(events)
-            : monitor::EncodeEventBatchLegacy(events, version);
+    const std::string payload = monitor::EncodeEventBatch(events);
     auto decoded = monitor::DecodeEventBatch(payload);
-    ASSERT_TRUE(decoded.ok()) << "v" << version << ": "
-                              << decoded.status().ToString();
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ASSERT_EQ(decoded->size(), events.size());
+    auto batch = monitor::EventBatch::FromPayload(payload);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ((*decoded)[i].record_index, events[i].record_index);
-      EXPECT_EQ((*decoded)[i].type, events[i].type);
-      EXPECT_EQ((*decoded)[i].path, events[i].path);
-      EXPECT_EQ((*decoded)[i].source_path, events[i].source_path);
-      if (version >= 2) {
-        EXPECT_EQ((*decoded)[i].trace_id, events[i].trace_id);
-      }
-      if (version >= 3) {
-        EXPECT_EQ((*decoded)[i].hlc, events[i].hlc);
-      }
+      ExpectEveryFieldEqual((*decoded)[i], events[i]);
+      ExpectEveryFieldEqual(batch->events()[i], events[i]);
     }
   }
 }
 
-TEST_P(FuzzTest, AllVersionsRejectTruncationEverywhere) {
-  // Every strict prefix of a valid payload must be rejected — at every
-  // version, at every cut point (the v4 validator must catch cuts inside
-  // the header, the record block, the offset table and the string heap).
+TEST_P(FuzzTest, V4RejectsTruncationAtEveryCut) {
+  // Every strict prefix of a valid payload must be rejected, at every cut
+  // point from 0 to size-1: cuts inside the version word, the header, the
+  // record block, the offset table and the string heap.
   Rng rng(GetParam() ^ 0xCC7);
   std::vector<monitor::FsEvent> events;
   for (size_t i = 0; i < 3; ++i) events.push_back(RandomEvent(rng));
   events[0].path = "/some/realistic/path.dat";  // non-empty heap
-  for (const uint16_t version : {uint16_t{1}, uint16_t{2}, uint16_t{3},
-                                 monitor::kWireCodecVersion}) {
-    const std::string payload =
-        version >= monitor::kWireCodecVersion
-            ? monitor::EncodeEventBatch(events)
-            : monitor::EncodeEventBatchLegacy(events, version);
-    for (int i = 0; i < 300; ++i) {
-      const size_t cut = rng.NextBelow(payload.size());
-      EXPECT_FALSE(
-          monitor::DecodeEventBatch(std::string_view(payload).substr(0, cut)).ok())
-          << "v" << version << " cut=" << cut;
-    }
+  const std::string payload = monitor::EncodeEventBatch(events);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    const std::string_view prefix = std::string_view(payload).substr(0, cut);
+    EXPECT_FALSE(monitor::DecodeEventBatch(prefix).ok()) << "cut=" << cut;
+    EXPECT_FALSE(monitor::EventBatch::FromPayload(std::string(prefix)).ok())
+        << "cut=" << cut;
   }
 }
 

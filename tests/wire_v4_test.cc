@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "monitor/event.h"
 
 namespace sdci::monitor::wire {
@@ -161,10 +164,48 @@ TEST(WireV4, BindRejectsStructuralCorruption) {
   EXPECT_FALSE(EventBatchView::Bind(bad).ok());
 }
 
+TEST(EventCodec, CountGuardAcceptsDenseMinimalBatches) {
+  // A batch of all-empty-string events is the densest legal encoding: the
+  // payload is exactly header + count * (record + three offset entries) +
+  // the closing offset, and it must decode at that exact size boundary.
+  std::vector<FsEvent> batch(5);
+  for (size_t i = 0; i < batch.size(); ++i) batch[i].global_seq = i + 1;
+  const std::string payload = EncodeEventBatchV4(batch.data(), batch.size());
+  EXPECT_EQ(payload.size(), kHeaderSize + batch.size() * (kEventStride + 3 * 4) + 4);
+  auto decoded = DecodeEventBatch(payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ((*decoded)[i].global_seq, i + 1);
+    EXPECT_TRUE((*decoded)[i].path.empty());
+  }
+  // One byte short of the boundary is rejected.
+  EXPECT_FALSE(
+      DecodeEventBatch(std::string_view(payload).substr(0, payload.size() - 1)).ok());
+}
+
+TEST(EventCodec, CountGuardRejectsHostileCountWithoutOverReserve) {
+  // A header count of 0xFFFFFFFF claims far more events than the payload
+  // holds. Bind rejects it from the header arithmetic alone (u64, so the
+  // section offsets cannot wrap) before any event is materialized; the
+  // decoder never reserves for the claimed count.
+  const FsEvent event = SampleEvent(1);
+  std::string payload = EncodeEventBatchV4(&event, 1);
+  const uint32_t hostile = 0xFFFFFFFFu;
+  std::memcpy(payload.data() + offsetof(BatchHeaderV4, count), &hostile,
+              sizeof(hostile));
+  EXPECT_FALSE(EventBatchView::Bind(payload).ok());
+  EXPECT_FALSE(DecodeEventBatch(payload).ok());
+  EXPECT_FALSE(EventBatch::FromPayload(payload).ok());
+}
+
 TEST(WireV4, LooksLikeV4PeeksVersionOnly) {
   const FsEvent event = SampleEvent(1);
   EXPECT_TRUE(LooksLikeV4(EncodeEventBatchV4(&event, 1)));
-  EXPECT_FALSE(LooksLikeV4(EncodeEventBatchLegacy({event}, 3)));
+  // A hand-built version-3 header (u16 version, u32 count): the peek reads
+  // the version word and nothing else.
+  const std::string v3_header("\x03\x00\x01\x00\x00\x00", 6);
+  EXPECT_FALSE(LooksLikeV4(v3_header));
   EXPECT_FALSE(LooksLikeV4(""));
   EXPECT_FALSE(LooksLikeV4("\x04"));  // one byte is not a version field
 }
