@@ -91,7 +91,9 @@ else
   # The parallel-ingest and federation data-race gates must actually have
   # run under TSan (a silently filtered-out test would pass this script
   # while proving nothing about the sharded hot path or the cross-shard
-  # merge).
+  # merge). The one-message publish test crosses sequencer, publish and
+  # subscriber threads; the registry test reads a callback on one thread
+  # while another calls back into the registry.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -107,7 +109,9 @@ else
                    SpscRing.StressPreservesFifo \
                    ThreadPool.SpscFeedModeDrainsEveryTask \
                    ConcurrentSnapshotSwapsKeepVerdictsOracleExact \
-                   FairDrainInterleavesTenantsUnderConcurrency; do
+                   FairDrainInterleavesTenantsUnderConcurrency \
+                   PublishesEachSequencedBatchAsOneMessage \
+                   MetricsRegistry.CallbacksRunOutsideTheRegistryLock; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

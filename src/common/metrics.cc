@@ -104,7 +104,26 @@ void MetricsRegistry::RegisterCallback(const std::string& name,
   series.push_back({labels, std::move(read)});
 }
 
+std::vector<MetricsRegistry::CallbackValue> MetricsRegistry::ReadCallbacks() const {
+  std::vector<std::pair<std::string, Callback>> entries;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [name, series] : callbacks_) {
+      for (const auto& entry : series) entries.emplace_back(name, entry);
+    }
+  }
+  std::vector<CallbackValue> values;
+  values.reserve(entries.size());
+  for (auto& [name, entry] : entries) {
+    const auto value = entry.read ? entry.read() : std::nullopt;
+    if (!value.has_value()) continue;  // owner gone
+    values.push_back({std::move(name), std::move(entry.labels), *value});
+  }
+  return values;
+}
+
 json::Value MetricsRegistry::ToJson() const {
+  const std::vector<CallbackValue> callback_values = ReadCallbacks();
   const std::lock_guard<std::mutex> lock(mutex_);
   json::Object counters;
   for (const auto& [key, counter] : counters_) {
@@ -126,15 +145,11 @@ json::Value MetricsRegistry::ToJson() const {
     row["peak"] = gauge->Peak();
     add_gauge_row(key.first, std::move(row));
   }
-  for (const auto& [name, series] : callbacks_) {
-    for (const auto& entry : series) {
-      const auto value = entry.read ? entry.read() : std::nullopt;
-      if (!value.has_value()) continue;  // owner gone
-      json::Object row;
-      row["labels"] = LabelsToJson(entry.labels);
-      row["value"] = *value;
-      add_gauge_row(name, std::move(row));
-    }
+  for (const CallbackValue& cb : callback_values) {
+    json::Object row;
+    row["labels"] = LabelsToJson(cb.labels);
+    row["value"] = cb.value;
+    add_gauge_row(cb.name, std::move(row));
   }
   json::Object histograms;
   for (const auto& [key, hist] : histograms_) {
@@ -157,6 +172,7 @@ json::Value MetricsRegistry::ToJson() const {
 }
 
 std::string MetricsRegistry::ToPrometheus() const {
+  const std::vector<CallbackValue> callback_values = ReadCallbacks();
   const std::lock_guard<std::mutex> lock(mutex_);
   std::string out;
   std::string last_name;
@@ -178,12 +194,8 @@ std::string MetricsRegistry::ToPrometheus() const {
     gauge_rows[key.first].emplace_back(key.second, gauge->Get());
     gauge_rows[key.first + "_peak"].emplace_back(key.second, gauge->Peak());
   }
-  for (const auto& [name, series] : callbacks_) {
-    for (const auto& entry : series) {
-      const auto value = entry.read ? entry.read() : std::nullopt;
-      if (!value.has_value()) continue;
-      gauge_rows[name].emplace_back(entry.labels, *value);
-    }
+  for (const CallbackValue& cb : callback_values) {
+    gauge_rows[cb.name].emplace_back(cb.labels, cb.value);
   }
   last_name.clear();
   for (const auto& [name, rows] : gauge_rows) {
@@ -219,6 +231,7 @@ std::string MetricsRegistry::ToPrometheus() const {
 }
 
 size_t MetricsRegistry::SampleAll(VirtualTime now) {
+  const std::vector<CallbackValue> callback_values = ReadCallbacks();
   const std::lock_guard<std::mutex> lock(mutex_);
   size_t sampled = 0;
   for (const auto& [key, counter] : counters_) {
@@ -231,14 +244,9 @@ size_t MetricsRegistry::SampleAll(VirtualTime now) {
         ->Record(now, static_cast<double>(gauge->Get()));
     ++sampled;
   }
-  for (const auto& [name, cb_series] : callbacks_) {
-    for (const auto& entry : cb_series) {
-      const auto value = entry.read ? entry.read() : std::nullopt;
-      if (!value.has_value()) continue;  // owner gone
-      series_->Series(name, entry.labels)
-          ->Record(now, static_cast<double>(*value));
-      ++sampled;
-    }
+  for (const CallbackValue& cb : callback_values) {
+    series_->Series(cb.name, cb.labels)->Record(now, static_cast<double>(cb.value));
+    ++sampled;
   }
   for (const auto& [key, hist] : histograms_) {
     series_->Series(key.first + "_p99_ns", key.second)

@@ -94,6 +94,17 @@ class MetricsRegistry {
     MetricLabels labels;
     std::function<std::optional<int64_t>()> read;
   };
+  struct CallbackValue {
+    std::string name;
+    MetricLabels labels;
+    int64_t value;
+  };
+
+  // Reads every callback gauge whose owner is still alive. The entries are
+  // copied under the lock and read after releasing it, so a callback may
+  // take its owner's locks or call back into this registry without
+  // ordering either behind `mutex_`.
+  [[nodiscard]] std::vector<CallbackValue> ReadCallbacks() const;
 
   mutable std::mutex mutex_;
   std::shared_ptr<TimeSeriesStore> series_;

@@ -3,24 +3,65 @@
 #include <algorithm>
 #include <thread>
 
+#include "monitor/wire_v4.h"
+
 namespace sdci::monitor {
+
+namespace {
+constexpr int kTypeCount = static_cast<int>(lustre::ChangeLogType::kAtime) + 1;
+constexpr uint32_t kAllTypes = (uint32_t{1} << kTypeCount) - 1;
+}  // namespace
 
 EventSubscriber::EventSubscriber(msgq::Context& context,
                                  const std::string& publish_endpoint,
-                                 std::string topic_prefix, size_t hwm,
+                                 std::string_view topic_prefix, size_t hwm,
                                  msgq::HwmPolicy policy)
     : sub_(context.CreateSub(publish_endpoint, hwm, policy)) {
-  sub_->Subscribe(std::move(topic_prefix));
+  for (int t = 0; t < kTypeCount; ++t) {
+    if (EventTopic(static_cast<lustre::ChangeLogType>(t)).starts_with(topic_prefix)) {
+      type_mask_ |= uint32_t{1} << t;
+    }
+  }
+  sub_->Subscribe(std::string(kEventStreamTopic));
 }
 
-Result<EventBatch> EventSubscriber::DecodeBatch(Result<msgq::Message> message) {
-  if (!message.ok()) return message.status();
-  // Share the wire bytes: the batch keeps the received payload, so a
-  // consumer that republishes (or logs) it never re-encodes.
-  auto batch = EventBatch::FromPayload(message->payload);
+Result<EventBatch> EventSubscriber::Filter(const msgq::Message& message) const {
+  // Share the wire bytes: a fully matching batch keeps the received
+  // payload, so a consumer that republishes (or logs) it never re-encodes.
+  auto batch = EventBatch::FromPayload(message.payload);
   if (!batch.ok()) return batch.status();
-  ++batches_received_;
-  return batch;
+  if (type_mask_ == kAllTypes) return batch;
+  // FromPayload validated these bytes, so Bind cannot fail here.
+  const auto view = wire::EventBatchView::Bind(*message.payload);
+  if (!view.ok()) return view.status();
+  const auto matches = [&](size_t i) {
+    return ((type_mask_ >> static_cast<int>(view->type(i))) & 1) != 0;
+  };
+  size_t matching = 0;
+  for (size_t i = 0; i < view->size(); ++i) matching += matches(i) ? 1 : 0;
+  if (matching == view->size()) return batch;
+  std::vector<FsEvent> events;
+  events.reserve(matching);
+  for (size_t i = 0; i < view->size(); ++i) {
+    if (matches(i)) events.push_back((*view)[i].Materialize());
+  }
+  return EventBatch(std::move(events));
+}
+
+Result<EventBatch> EventSubscriber::ReceiveBatch(std::chrono::nanoseconds timeout) {
+  const bool infinite = timeout < std::chrono::nanoseconds(0);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (true) {
+    // A spent deadline still takes a message that is already queued.
+    auto message = infinite ? sub_->Receive()
+                            : sub_->ReceiveFor(deadline - std::chrono::steady_clock::now());
+    if (!message.ok()) return message.status();
+    auto batch = Filter(*message);
+    if (!batch.ok()) return batch.status();
+    if (batch->empty()) continue;  // no matching event: keep waiting
+    ++batches_received_;
+    return batch;
+  }
 }
 
 Result<EventBatch> EventSubscriber::NextBatch() {
@@ -36,44 +77,27 @@ Result<EventBatch> EventSubscriber::NextBatchFor(std::chrono::nanoseconds timeou
     received_ += events.size();
     return EventBatch(std::move(events));
   }
-  auto batch = DecodeBatch(timeout < std::chrono::nanoseconds(0)
-                               ? sub_->Receive()
-                               : sub_->ReceiveFor(timeout));
+  auto batch = ReceiveBatch(timeout);
   if (batch.ok()) received_ += batch->size();
   return batch;
 }
 
-Result<FsEvent> EventSubscriber::Decode(Result<msgq::Message> message) {
-  auto batch = DecodeBatch(std::move(message));
-  if (!batch.ok()) return batch.status();
-  const std::vector<FsEvent>& events = batch->events();
-  // Queue extras (oldest-first consumption) for subsequent Next() calls.
-  FsEvent first = events.front();
-  for (size_t i = events.size(); i > 1; --i) {
-    pending_.push_back(events[i - 1]);
-  }
-  ++received_;
-  return first;
-}
-
 Result<FsEvent> EventSubscriber::Next() {
-  if (!pending_.empty()) {
-    FsEvent event = std::move(pending_.back());
-    pending_.pop_back();
-    ++received_;
-    return event;
-  }
-  return Decode(sub_->Receive());
+  return NextFor(std::chrono::nanoseconds(-1));
 }
 
 Result<FsEvent> EventSubscriber::NextFor(std::chrono::nanoseconds timeout) {
-  if (!pending_.empty()) {
-    FsEvent event = std::move(pending_.back());
-    pending_.pop_back();
-    ++received_;
-    return event;
+  if (pending_.empty()) {
+    auto batch = ReceiveBatch(timeout);
+    if (!batch.ok()) return batch.status();
+    // Buffered reversed, so consumption pops the oldest from the back.
+    const std::vector<FsEvent>& events = batch->events();
+    pending_.assign(events.rbegin(), events.rend());
   }
-  return Decode(sub_->ReceiveFor(timeout));
+  FsEvent event = std::move(pending_.back());
+  pending_.pop_back();
+  ++received_;
+  return event;
 }
 
 std::optional<FsEvent> EventSubscriber::TryNext() {
@@ -129,7 +153,7 @@ RecoveringSubscriber::RecoveringSubscriber(msgq::Context& context,
                                            const std::string& publish_endpoint,
                                            const std::string& api_endpoint,
                                            RecoveringSubscriberConfig config)
-    : live_(context, publish_endpoint, config.topic_prefix, config.hwm, config.policy),
+    : live_(context, publish_endpoint, kEventStreamTopic, config.hwm, config.policy),
       history_(context, api_endpoint),
       config_(std::move(config)),
       metrics_(config_.metrics != nullptr ? config_.metrics

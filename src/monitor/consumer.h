@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -24,16 +25,23 @@ namespace sdci::monitor {
 // Live event stream subscriber.
 class EventSubscriber {
  public:
-  // Subscribes to `topic_prefix` on the aggregator's publish endpoint
-  // ("fsevent." receives everything; "fsevent.CREAT" filters creates).
+  // Subscribes to the aggregator's publish endpoint. `topic_prefix` selects
+  // event types by their EventTopic name: "fsevent." receives everything,
+  // "fsevent.CREAT" only creates, "fsevent.C" CREAT, CLOSE and CTIME. Each
+  // message carries one sequenced batch of mixed types under
+  // kEventStreamTopic, so the filter runs here on the v4 type column: a
+  // batch whose events all match is delivered as received (zero-copy), one
+  // with no matching event is skipped, and only a partly matching batch is
+  // materialized to keep its matching events.
   EventSubscriber(msgq::Context& context, const std::string& publish_endpoint,
-                  std::string topic_prefix = "fsevent.", size_t hwm = 65536,
+                  std::string_view topic_prefix = kEventStreamTopic,
+                  size_t hwm = 65536,
                   msgq::HwmPolicy policy = msgq::HwmPolicy::kDropNewest);
 
-  // Next whole batch (blocking / with timeout). The aggregator publishes
-  // one message per type-homogeneous batch; this decodes it exactly once
-  // and shares the received bytes (no re-encode, no per-event copies).
-  // Returns any events already buffered by a per-event Next() first.
+  // Next batch of matching events, in stream order (blocking / with
+  // timeout). Messages with no matching event are skipped without ending
+  // the timeout early. Returns any events already buffered by a per-event
+  // Next() first.
   Result<EventBatch> NextBatch();
   Result<EventBatch> NextBatchFor(std::chrono::nanoseconds timeout);
 
@@ -52,10 +60,14 @@ class EventSubscriber {
   [[nodiscard]] uint64_t dropped_at_socket() const { return sub_->dropped(); }
 
  private:
-  Result<EventBatch> DecodeBatch(Result<msgq::Message> message);
-  Result<FsEvent> Decode(Result<msgq::Message> message);
+  // Receives until a message carries a matching event (negative timeout:
+  // block) and returns those events.
+  Result<EventBatch> ReceiveBatch(std::chrono::nanoseconds timeout);
+  // The matching events of one message; an empty batch when none match.
+  Result<EventBatch> Filter(const msgq::Message& message) const;
 
   std::shared_ptr<msgq::SubSocket> sub_;
+  uint32_t type_mask_ = 0;        // bit t set: ChangeLogType t matches
   std::vector<FsEvent> pending_;  // events from a multi-event message, reversed
   uint64_t received_ = 0;
   uint64_t batches_received_ = 0;
@@ -88,10 +100,6 @@ class HistoryClient {
 };
 
 struct RecoveringSubscriberConfig {
-  // Gap detection needs the full stream: subscribe to anything narrower
-  // than "fsevent." and missing sequences are indistinguishable from
-  // filtered ones.
-  std::string topic_prefix = "fsevent.";
   size_t hwm = 65536;
   msgq::HwmPolicy policy = msgq::HwmPolicy::kDropNewest;
   // First sequence this consumer is responsible for. 0 adopts the first
@@ -116,11 +124,13 @@ struct RecoveringSubscriberConfig {
 };
 
 // Self-healing event consumer: a live EventSubscriber that watches
-// global_seq continuity and repairs holes from the history API.
+// global_seq continuity and repairs holes from the history API. It
+// receives every event type: gap detection needs the full stream, since a
+// filtered-out sequence would be indistinguishable from a lost one.
 //
 // The live stream is sequence-ordered (the aggregator's single publish
-// thread emits run-split sub-batches whose concatenation preserves event
-// order), so a gap-free stream has the invariant that every arriving
+// thread sends each sequenced batch as one message, in sequence order),
+// so a gap-free stream has the invariant that every arriving
 // message's minimum fresh sequence equals the contiguous watermark. A
 // message whose minimum exceeds the watermark therefore proves events were
 // lost (aggregator crash, wire drop, socket overflow); the subscriber then

@@ -79,8 +79,10 @@ Result<std::vector<FsEvent>> DecodeEventBatch(std::string_view payload) {
   return view->Materialize();
 }
 
-std::string EventTopic(const FsEvent& event) {
-  return "fsevent." + std::string(lustre::ChangeLogTypeName(event.type));
+std::string EventTopic(const FsEvent& event) { return EventTopic(event.type); }
+
+std::string EventTopic(lustre::ChangeLogType type) {
+  return std::string(kEventStreamTopic) + std::string(lustre::ChangeLogTypeName(type));
 }
 
 // ---------- EventBatch ----------
@@ -89,7 +91,6 @@ EventBatch::EventBatch(std::vector<FsEvent> events) {
   auto rep = std::make_shared<Rep>();
   rep->events = std::move(events);
   rep->count = rep->events.size();
-  if (rep->count > 0) rep->first_type = rep->events.front().type;
   rep->has_events.store(true, std::memory_order_release);
   rep_ = std::move(rep);
 }
@@ -104,7 +105,6 @@ Result<EventBatch> EventBatch::FromPayload(std::shared_ptr<const std::string> pa
   if (view->empty()) return InvalidArgumentError("zero-event batch on the wire");
   auto rep = std::make_shared<Rep>();
   rep->count = view->size();
-  rep->first_type = view->type(0);
   rep->payload = std::move(payload);
   return EventBatch(std::move(rep));
 }
@@ -149,53 +149,10 @@ std::shared_ptr<const std::string> EventBatch::payload() const {
 
 std::shared_ptr<const std::string> EventBatch::FlatPayloadV4() const noexcept {
   // Decode-side batches set rep_->payload at construction; encode-side
-  // batches leave it null until payload() runs (same published-or-null
-  // read SplitByType relies on), so this never races the lazy encode.
+  // batches leave it null until payload() runs, so this never races the
+  // lazy encode.
   if (rep_ == nullptr) return nullptr;
   return rep_->payload;
-}
-
-std::string EventBatch::Topic() const {
-  if (empty()) return std::string();
-  return "fsevent." + std::string(lustre::ChangeLogTypeName(rep_->first_type));
-}
-
-std::vector<EventBatch> EventBatch::SplitByType() const {
-  if (empty()) return {};
-  if (rep_->payload != nullptr &&
-      !rep_->has_events.load(std::memory_order_acquire)) {
-    // Lazy batch: answer homogeneity from the flat type column without
-    // materializing anything — the common (single-type) case stays fully
-    // zero-copy through the publish path.
-    auto view = wire::EventBatchView::Bind(*rep_->payload);
-    if (view.ok() && view->Homogeneous()) return {*this};
-  }
-  const std::vector<FsEvent>& all = events();
-  bool homogeneous = true;
-  for (size_t i = 1; i < all.size(); ++i) {
-    if (all[i].type != all.front().type) {
-      homogeneous = false;
-      break;
-    }
-  }
-  if (homogeneous) return {*this};
-  // Split into maximal runs of equal type. Grouping ALL same-type events
-  // together would reorder interleaved types, breaking the pipeline's
-  // per-MDS ordering guarantee for full-stream subscribers; runs keep the
-  // total order while every message stays type-homogeneous for topic
-  // filtering. Worst case (alternating types) degrades to per-event
-  // messages — never worse than unbatched publishing.
-  std::vector<EventBatch> out;
-  std::vector<FsEvent> run;
-  for (const FsEvent& event : all) {
-    if (!run.empty() && run.back().type != event.type) {
-      out.emplace_back(std::move(run));
-      run.clear();
-    }
-    run.push_back(event);
-  }
-  out.emplace_back(std::move(run));
-  return out;
 }
 
 size_t EventBatch::ApproxBytes() const noexcept {

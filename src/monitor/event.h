@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -79,9 +80,17 @@ struct FsEvent {
 std::string EncodeEventBatch(const std::vector<FsEvent>& events);
 Result<std::vector<FsEvent>> DecodeEventBatch(std::string_view payload);
 
-// Topic used on the aggregator's public stream for one event, e.g.
-// "fsevent.CREAT". Consumers can prefix-filter on "fsevent." or a type.
+// Per-type topic name of one event, e.g. "fsevent.CREAT". EventSubscriber
+// takes a prefix of these names ("fsevent." for everything, "fsevent.CREAT"
+// for creates) and filters on each event's type.
 std::string EventTopic(const FsEvent& event);
+std::string EventTopic(lustre::ChangeLogType type);
+
+// The one msgq topic every message on the aggregator's public stream
+// carries. A message is one sequenced batch of mixed types, so a raw SUB
+// must subscribe to this topic (or "") to see the stream; a narrower
+// prefix receives nothing rather than a silently partial stream.
+inline constexpr std::string_view kEventStreamTopic = "fsevent.";
 
 // An immutable batch of events with a shared, at-most-once-computed wire
 // encoding. Copying an EventBatch is two reference-count bumps: the decoded
@@ -93,15 +102,15 @@ class EventBatch {
  public:
   EventBatch() = default;  // empty batch
 
-  // Encode-side construction (Collector, Aggregator re-grouping). The wire
+  // Encode-side construction (Collector, subscriber filtering). The wire
   // encoding is computed lazily on the first payload() call and cached.
   explicit EventBatch(std::vector<FsEvent> events);
 
   // Decode-side construction: validates the wire bytes and shares (not
   // copies) them as the batch's encoding. Rejects malformed payloads and
   // zero-event batches (a wire message carries >= 1 event). Validation is
-  // an in-place scan and NO events are materialized: size()/Topic() are
-  // answered from the flat layout, and the owning FsEvents exist only once
+  // an in-place scan and NO events are materialized: size() is answered
+  // from the flat layout, and the owning FsEvents exist only once
   // a consumer first calls events() (the store/catalog boundary, the
   // history API).
   static Result<EventBatch> FromPayload(std::shared_ptr<const std::string> payload);
@@ -124,25 +133,14 @@ class EventBatch {
   // over these bytes and read paths as string_views in place.
   [[nodiscard]] std::shared_ptr<const std::string> FlatPayloadV4() const noexcept;
 
-  // Publication topic of the first event ("fsevent.<TYPE>"); "" if empty.
-  // Publishers emit type-homogeneous batches so prefix filters still work.
-  [[nodiscard]] std::string Topic() const;
-
-  // Splits into type-homogeneous sub-batches: maximal runs of equal type,
-  // so concatenating the sub-batches reproduces the original event order
-  // (the pipeline's per-MDS ordering guarantee survives publication). An
-  // already-homogeneous batch is returned as-is (shared — no event or
-  // payload copy), which is the common case for real workloads.
-  [[nodiscard]] std::vector<EventBatch> SplitByType() const;
-
   [[nodiscard]] size_t ApproxBytes() const noexcept;
 
  private:
   struct Rep {
     // Exactly one of {events, payload} is the authoritative side at
     // construction; the other is derived lazily, at most once, via its
-    // once_flag. `count` and `first_type` are snapshotted up front so
-    // size()/Topic() never force a materialization.
+    // once_flag. `count` is snapshotted up front so size() never forces
+    // a materialization.
     mutable std::vector<FsEvent> events;
     mutable std::shared_ptr<const std::string> payload;
     mutable std::once_flag encode_once;
@@ -151,7 +149,6 @@ class EventBatch {
     // publisher, so readers skip the once_flag on the fast path).
     mutable std::atomic<bool> has_events{false};
     size_t count = 0;
-    lustre::ChangeLogType first_type = lustre::ChangeLogType::kMark;
   };
 
   explicit EventBatch(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}

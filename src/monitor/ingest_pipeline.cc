@@ -223,7 +223,6 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
   };
   std::vector<PendingSpan> pending;  // whole group, for wal/commit spans
   std::vector<EventBatch> batches;
-  std::vector<EventBatch> publish_batches;  // type-homogeneous sub-batches
   batches.reserve(group.size());
   uint64_t watermark = 0;
   uint64_t group_events = 0;       // ledger: events sequenced this group
@@ -279,20 +278,12 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
       instruments_.decode_errors->Add();
       continue;
     }
-    EventBatch batch = std::move(bound.value());
     instruments_.received->Add(count);
     instruments_.batches_received->Add();
     group_events += count;
     group_newest = std::max(group_newest, item.last_time);
     if (wm_ingest_ != nullptr) wm_ingest_->Advance(item.last_time);
-    // Split before the WAL append so the publish queue receives batches
-    // that share this batch's events; the homogeneous case is two
-    // refcount bumps, zero event copies.
-    auto subs = batch.SplitByType();
-    publish_batches.insert(publish_batches.end(),
-                           std::make_move_iterator(subs.begin()),
-                           std::make_move_iterator(subs.end()));
-    batches.push_back(std::move(batch));
+    batches.push_back(std::move(bound.value()));
   }
   if (batches.empty()) return;
   // Write-ahead: the whole group (and the advanced watermark) reach the
@@ -330,11 +321,13 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
   }
   // Hand off to both downstream threads, in ticket order. Blocking pushes
   // propagate backpressure to the collectors ("no loss of events once
-  // they have been processed"). The publish side gets type-homogeneous
-  // sub-batches so per-type topics keep working. One bulk push per queue
-  // for the whole group: one lock acquisition and one consumer wake,
-  // instead of one of each per batch.
-  if (!serve_->Enqueue(std::move(publish_batches)).ok()) {
+  // they have been processed"). Both sides get the same sequenced batches:
+  // copying the vector only bumps refcounts on the one shared v4 buffer
+  // per batch, so the publish thread sends each collector message on as
+  // exactly one message. One bulk push per queue for the whole group: one
+  // lock acquisition and one consumer wake, instead of one of each per
+  // batch.
+  if (!serve_->Enqueue(batches).ok()) {
     // Hand-off queues only close mid-sequence on a crash: both boundaries
     // lose the group.
     if (discarded_store_ != nullptr) discarded_store_->Add(group_events);

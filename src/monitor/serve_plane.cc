@@ -98,7 +98,7 @@ void ServePlane::PublishLoop() {
       for (size_t i = 0; i < count; ++i) {
         instruments_.delivery_latency->Record(now - view->time(i));
       }
-      pub_->Publish(msgq::Message(batch.Topic(), payload));
+      pub_->Publish(msgq::Message(std::string(kEventStreamTopic), payload));
       if (tracer_ != nullptr) {
         for (size_t i = 0; i < count; ++i) {
           if (view->trace_id(i) == 0) continue;

@@ -55,7 +55,9 @@ class ServePlane {
   void JoinPublish();
   void StopApi();
 
-  // Sequencer hand-off: type-homogeneous sub-batches, in sequence order.
+  // Sequencer hand-off: the sequenced batches the catalog also receives,
+  // in sequence order. Each is published as one message under
+  // kEventStreamTopic; subscribers filter by type (EventSubscriber).
   Status Enqueue(std::vector<EventBatch> batches);
 
   [[nodiscard]] size_t PublishQueueDepth() const { return queue_.size(); }

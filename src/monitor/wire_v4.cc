@@ -153,15 +153,6 @@ EventView EventBatchView::operator[](size_t i) const noexcept {
                    std::string_view(heap + o2, o3 - o2));
 }
 
-bool EventBatchView::Homogeneous() const noexcept {
-  if (count_ == 0) return true;
-  const uint32_t first = record(0)->type;
-  for (size_t i = 1; i < count_; ++i) {
-    if (record(i)->type != first) return false;
-  }
-  return true;
-}
-
 FsEvent EventView::Materialize() const {
   FsEvent event;
   event.mdt_index = mdt_index();

@@ -178,10 +178,6 @@ class EventBatchView {
     return record(i)->parent_span;
   }
 
-  // True when every event shares event 0's type (trivially true when
-  // empty): the batch can be published under one topic without a split.
-  [[nodiscard]] bool Homogeneous() const noexcept;
-
   [[nodiscard]] std::vector<FsEvent> Materialize() const;
 
  private:

@@ -70,55 +70,60 @@ TEST_F(AggregatorTest, AssignsGlobalSequenceAndFansOut) {
   EXPECT_EQ(stats.published, 3u);
   EXPECT_EQ(stats.stored, 3u);
   EXPECT_EQ(stats.decode_errors, 0u);
-  // Two collector messages in, two homogeneous batch messages out.
+  // Two collector messages in, two published messages out.
   EXPECT_EQ(stats.batches_received, 2u);
   EXPECT_EQ(stats.batches_published, 2u);
 }
 
-TEST_F(AggregatorTest, PublishesTypeGroupedBatchesNotPerEventMessages) {
+TEST_F(AggregatorTest, PublishesEachSequencedBatchAsOneMessage) {
   const auto config = Config();
   Aggregator aggregator(profile_, authority_, context_, config);
-  // Raw subscriber: sees the actual wire messages, not the per-event view.
+  // Raw subscribers: see the actual wire messages, not the per-event view.
   auto raw = context_.CreateSub(config.publish_endpoint);
   raw->Subscribe("fsevent.");
+  // Types are filtered at EventSubscriber, not by msgq topic: a raw SUB on
+  // a per-type prefix gets nothing rather than a partial stream.
+  auto raw_creates = context_.CreateSub(config.publish_endpoint);
+  raw_creates->Subscribe("fsevent.CREAT");
   auto pub = context_.CreatePub(config.collect_endpoint);
   aggregator.Start();
 
-  // One collector batch: a run of 6 creates then a run of 2 unlinks.
+  // One collector batch of interleaved types, as create-then-write
+  // traffic produces.
+  const lustre::ChangeLogType types[] = {
+      lustre::ChangeLogType::kCreate, lustre::ChangeLogType::kMtime,
+      lustre::ChangeLogType::kUnlink, lustre::ChangeLogType::kCreate,
+      lustre::ChangeLogType::kMtime,  lustre::ChangeLogType::kCreate,
+      lustre::ChangeLogType::kUnlink, lustre::ChangeLogType::kMtime};
   std::vector<FsEvent> batch;
   for (int i = 1; i <= 8; ++i) {
     FsEvent event = Event(i);
-    if (i > 6) event.type = lustre::ChangeLogType::kUnlink;
+    event.type = types[i - 1];
     batch.push_back(std::move(event));
   }
   Send(*pub, batch);
 
-  // Exactly two messages reach subscribers: one per type run, in original
-  // order, each carrying the whole run (no per-event fan-out).
-  auto first = raw->ReceiveFor(std::chrono::seconds(5));
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->topic, "fsevent.CREAT");
-  auto creates = DecodeEventBatch(first->bytes());
-  ASSERT_TRUE(creates.ok());
-  ASSERT_EQ(creates->size(), 6u);
-  for (size_t i = 1; i < creates->size(); ++i) {
-    EXPECT_LT((*creates)[i - 1].global_seq, (*creates)[i].global_seq);
+  // Exactly one message reaches subscribers, carrying every event in
+  // global_seq order.
+  auto message = raw->ReceiveFor(std::chrono::seconds(5));
+  ASSERT_TRUE(message.ok());
+  EXPECT_EQ(message->topic, kEventStreamTopic);
+  auto events = DecodeEventBatch(message->bytes());
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 8u);
+  for (size_t i = 0; i < events->size(); ++i) {
+    EXPECT_EQ((*events)[i].global_seq, i + 1);
+    EXPECT_EQ((*events)[i].type, types[i]);
   }
-
-  auto second = raw->ReceiveFor(std::chrono::seconds(5));
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second->topic, "fsevent.UNLNK");
-  auto unlinks = DecodeEventBatch(second->bytes());
-  ASSERT_TRUE(unlinks.ok());
-  EXPECT_EQ(unlinks->size(), 2u);
 
   WaitForReceived(aggregator, 8);
   aggregator.Stop();
-  EXPECT_FALSE(raw->TryReceive().has_value()) << "expected exactly 2 messages";
+  EXPECT_FALSE(raw->TryReceive().has_value()) << "expected exactly 1 message";
+  EXPECT_FALSE(raw_creates->TryReceive().has_value());
 
   const auto stats = aggregator.Stats();
   EXPECT_EQ(stats.batches_received, 1u);
-  EXPECT_EQ(stats.batches_published, 2u);
+  EXPECT_EQ(stats.batches_published, 1u);
   EXPECT_EQ(stats.published, 8u);
   EXPECT_EQ(stats.stored, 8u);
 }
@@ -157,6 +162,72 @@ TEST_F(AggregatorTest, TypeTopicsAllowFiltering) {
   auto second = creates_only.NextFor(std::chrono::seconds(5));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->type, lustre::ChangeLogType::kCreate);
+  aggregator.Stop();
+}
+
+TEST_F(AggregatorTest, SubscriberTypeFilterKeepsOrderAndTimeout) {
+  const auto config = Config();
+  Aggregator aggregator(profile_, authority_, context_, config);
+  EventSubscriber creates(context_, config.publish_endpoint, "fsevent.CREAT");
+  // A prefix selects every type whose topic starts with it.
+  EventSubscriber c_types(context_, config.publish_endpoint, "fsevent.C");
+  auto pub = context_.CreatePub(config.collect_endpoint);
+  aggregator.Start();
+
+  const auto typed = [this](int i, lustre::ChangeLogType type) {
+    FsEvent event = Event(i);
+    event.type = type;
+    return event;
+  };
+  using lustre::ChangeLogType;
+  Send(*pub, {typed(1, ChangeLogType::kCreate), typed(2, ChangeLogType::kMtime),
+              typed(3, ChangeLogType::kClose), typed(4, ChangeLogType::kUnlink),
+              typed(5, ChangeLogType::kCreate), typed(6, ChangeLogType::kCtime)});
+
+  // Batch API: only the matching events of the mixed batch, in order.
+  auto batch = creates.NextBatchFor(std::chrono::seconds(5));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), 2u);
+  EXPECT_EQ(batch->events()[0].global_seq, 1u);
+  EXPECT_EQ(batch->events()[1].global_seq, 5u);
+  for (const FsEvent& event : batch->events()) {
+    EXPECT_EQ(event.type, ChangeLogType::kCreate);
+  }
+
+  // Per-event API over the same stream: CREAT, CLOSE, CREAT, CTIME.
+  const std::pair<uint64_t, ChangeLogType> expected[] = {
+      {1, ChangeLogType::kCreate},
+      {3, ChangeLogType::kClose},
+      {5, ChangeLogType::kCreate},
+      {6, ChangeLogType::kCtime}};
+  for (const auto& [seq, type] : expected) {
+    auto event = c_types.NextFor(std::chrono::seconds(5));
+    ASSERT_TRUE(event.ok()) << event.status().ToString();
+    EXPECT_EQ(event->global_seq, seq);
+    EXPECT_EQ(event->type, type);
+  }
+
+  // A batch with no matching event is skipped: the call neither returns it
+  // nor gives up before its timeout.
+  Send(*pub, {typed(7, ChangeLogType::kMtime), typed(8, ChangeLogType::kUnlink)});
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (aggregator.Stats().published < 8 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(aggregator.Stats().published, 8u);
+  constexpr auto kWait = std::chrono::milliseconds(100);
+  const auto start = std::chrono::steady_clock::now();
+  auto none = creates.NextBatchFor(kWait);
+  EXPECT_EQ(none.status().code(), StatusCode::kTimedOut);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kWait);
+
+  // Skipped batches ahead of a matching one do not end the wait either.
+  Send(*pub, {typed(9, ChangeLogType::kMtime)});
+  Send(*pub, {typed(10, ChangeLogType::kCreate)});
+  auto next = creates.NextBatchFor(std::chrono::seconds(5));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_EQ(next->size(), 1u);
+  EXPECT_EQ(next->events()[0].global_seq, 10u);
   aggregator.Stop();
 }
 

@@ -175,61 +175,20 @@ TEST(EventBatch, FromPayloadRejectsCorruptOffsetTable) {
 }
 
 TEST(EventBatch, LazyV4BatchAnswersSizeAndTopicWithoutMaterializing) {
-  // A received v4 batch is validated in place; size() and Topic() come
-  // straight from the flat layout. events() then materializes owning
-  // FsEvents exactly once (the store/catalog boundary).
+  // A received v4 batch is validated in place; size() and the type column
+  // (what a subscriber's type filter reads) come straight from the flat
+  // layout. events() then materializes owning FsEvents exactly once (the
+  // store/catalog boundary).
   const EventBatch source({SampleEvent(1), SampleEvent(2)});
   auto received = EventBatch::FromPayload(source.payload());
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(received->size(), 2u);
-  EXPECT_EQ(received->Topic(), "fsevent.CREAT");
+  auto view = wire::EventBatchView::Bind(*received->FlatPayloadV4());
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(view->type(0), lustre::ChangeLogType::kCreate);
   ASSERT_EQ(received->events().size(), 2u);
   ExpectEventsEqual(received->events()[0], source.events()[0]);
   ExpectEventsEqual(received->events()[1], source.events()[1]);
-}
-
-TEST(EventBatch, TopicIsFirstEventType) {
-  EXPECT_EQ(EventBatch({SampleEvent()}).Topic(), "fsevent.CREAT");
-  EXPECT_EQ(EventBatch().Topic(), "");
-}
-
-TEST(EventBatch, SplitByTypeSharesHomogeneousBatch) {
-  const EventBatch batch({SampleEvent(1), SampleEvent(2)});
-  const auto wire = batch.payload();
-  auto groups = batch.SplitByType();
-  ASSERT_EQ(groups.size(), 1u);
-  // Same rep: the split shares the encoding already computed.
-  EXPECT_EQ(groups[0].payload().get(), wire.get());
-  EXPECT_EQ(groups[0].size(), 2u);
-}
-
-TEST(EventBatch, SplitByTypePreservesTotalOrder) {
-  // Types C C U U C: runs of equal type, NOT all-creates-then-all-unlinks —
-  // concatenating the groups must reproduce the original order.
-  std::vector<FsEvent> events;
-  const lustre::ChangeLogType types[] = {
-      lustre::ChangeLogType::kCreate, lustre::ChangeLogType::kCreate,
-      lustre::ChangeLogType::kUnlink, lustre::ChangeLogType::kUnlink,
-      lustre::ChangeLogType::kCreate};
-  for (uint64_t seq = 1; seq <= 5; ++seq) {
-    FsEvent event = SampleEvent(seq);
-    event.type = types[seq - 1];
-    events.push_back(std::move(event));
-  }
-  auto groups = EventBatch(std::move(events)).SplitByType();
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0].Topic(), "fsevent.CREAT");
-  EXPECT_EQ(groups[1].Topic(), "fsevent.UNLNK");
-  EXPECT_EQ(groups[2].Topic(), "fsevent.CREAT");
-  EXPECT_EQ(groups[0].size(), 2u);
-  EXPECT_EQ(groups[1].size(), 2u);
-  EXPECT_EQ(groups[2].size(), 1u);
-  uint64_t expected_seq = 1;
-  for (const EventBatch& group : groups) {
-    for (const FsEvent& event : group.events()) {
-      EXPECT_EQ(event.global_seq, expected_seq++);
-    }
-  }
 }
 
 TEST(EventBatch, RandomizedRoundTripProperty) {

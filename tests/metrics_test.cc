@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <memory>
 
 #include "common/json.h"
@@ -71,6 +73,30 @@ TEST(MetricsRegistry, ReRegisteringCallbackReplaces) {
   registry.RegisterCallback("depth", {}, [] { return std::optional<int64_t>(2); });
   EXPECT_EQ(registry.InstrumentCount(), 1u);
   EXPECT_EQ(registry.ToJson()["gauges"]["depth"].AsArray().at(0).GetInt("value"), 2);
+}
+
+TEST(MetricsRegistry, CallbacksRunOutsideTheRegistryLock) {
+  // A callback owner may take its own locks, and those locks may be held
+  // by threads that call into this registry; reading a callback while the
+  // registry lock is held would order the two locks both ways. The inner
+  // call runs on another thread so a held lock shows up as a timeout
+  // instead of a self-deadlock.
+  MetricsRegistry registry;
+  registry.GetCounter("events_total")->Add(1);
+  std::future<size_t> inner;
+  bool reentered = false;
+  registry.RegisterCallback("reentrant", {}, [&]() -> std::optional<int64_t> {
+    inner = std::async(std::launch::async, [&] { return registry.InstrumentCount(); });
+    reentered = inner.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+    return 1;
+  });
+  EXPECT_EQ(registry.ToJson()["gauges"]["reentrant"].AsArray().size(), 1u);
+  EXPECT_TRUE(reentered) << "ToJson holds the registry lock across a callback";
+  EXPECT_EQ(inner.get(), 2u);
+  EXPECT_NE(registry.ToPrometheus().find("reentrant 1"), std::string::npos);
+  EXPECT_TRUE(reentered) << "ToPrometheus holds the registry lock across a callback";
+  EXPECT_EQ(registry.SampleAll(VirtualTime(1)), 2u);
+  EXPECT_TRUE(reentered) << "SampleAll holds the registry lock across a callback";
 }
 
 TEST(MetricsRegistry, PrometheusExposition) {

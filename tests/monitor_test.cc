@@ -38,7 +38,10 @@ class MonitorTest : public ::testing::Test {
       for (size_t m = 0; m < fs.MdsCount(); ++m) {
         appended += fs.Mds(m).changelog().TotalAppended();
       }
-      if (monitor.Stats().aggregator.published == appended) return;
+      // Both downstream threads: the publish thread can finish a batch
+      // before the store thread has appended it for the history API.
+      const auto stats = monitor.Stats().aggregator;
+      if (stats.published == appended && stats.stored == appended) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     FAIL() << "monitor did not drain in time";

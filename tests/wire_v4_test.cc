@@ -84,19 +84,6 @@ TEST(WireV4, ViewStringsAliasThePayload) {
             static_cast<const void*>(view.path().data()));
 }
 
-TEST(WireV4, HomogeneousScansTypeColumn) {
-  std::vector<FsEvent> events{SampleEvent(1), SampleEvent(2), SampleEvent(3)};
-  const std::string homogeneous = EncodeEventBatchV4(events.data(), events.size());
-  events[1].type = lustre::ChangeLogType::kUnlink;
-  const std::string mixed = EncodeEventBatchV4(events.data(), events.size());
-  auto a = EventBatchView::Bind(homogeneous);
-  auto b = EventBatchView::Bind(mixed);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(a->Homogeneous());
-  EXPECT_FALSE(b->Homogeneous());
-}
-
 TEST(WireV4, MutableBatchPatchesFixedOffsetFields) {
   // The sequencer's stamp-in-place path: global_seq, the HLC stamp and the
   // trace parent_span are patched at fixed offsets with no decode or
