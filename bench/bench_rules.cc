@@ -15,7 +15,12 @@
 //                                         per event: O(matching-rules),
 //                                         not O(rules))
 //
+// Report-only: index_update_{1k,1m}_us, the median cost of one
+// copy-on-write With() plus one Without() on the built index (a rule
+// install and removal through the control plane, minus the publish).
+//
 // Flags: --quick (1k/10k only, no gates), --json out.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -127,6 +132,7 @@ struct SweepPoint {
   size_t rules = 0;
   double build_ms = 0;
   double indexed_ns = 0;   // per event, batched zero-copy path
+  double update_us = 0;    // one With + one Without (1k and 1M only)
   size_t matched = 0;
   RuleIndex::Layout layout;
 };
@@ -150,6 +156,25 @@ double TimeIndexed(const RuleIndex& index,
     *matched_out = total;
   }
   return best * 1e6 / static_cast<double>(events);  // ms -> ns/event
+}
+
+// Median wall time of one With() plus one Without() of a fresh tenant
+// rule on `index` (each pair starts from `index`, so the trie shape does
+// not drift across samples).
+double TimeUpdate(const RuleIndex& index, uint64_t tenants, Rng& rng) {
+  constexpr int kSamples = 201;
+  std::vector<double> us;
+  us.reserve(kSamples);
+  for (int k = 0; k < kSamples; ++k) {
+    auto rule = std::make_shared<const Rule>(MakeRule(90000000 + k, tenants, rng));
+    const double start = NowMs();
+    const auto grown = index.With(rule);
+    const auto shrunk = grown->Without(*rule);
+    us.push_back((NowMs() - start) * 1e3);
+    if (shrunk->size() != index.size()) std::printf("impossible\n");
+  }
+  std::nth_element(us.begin(), us.begin() + kSamples / 2, us.end());
+  return us[kSamples / 2];
 }
 
 // The replaced engine: first-match linear sweep with Trigger::Matches.
@@ -194,8 +219,8 @@ int main(int argc, char** argv) {
 
   MetricSet metrics;
   std::vector<std::vector<std::string>> table;
-  table.push_back({"rules", "build_ms", "indexed_ns/ev", "matched", "trie_nodes",
-                   "anchored", "catch_all"});
+  table.push_back({"rules", "build_ms", "update_us", "indexed_ns/ev", "matched",
+                   "trie_nodes", "anchored", "catch_all"});
 
   double ns_1k = 0, ns_1m = 0, linear_100k = 0, indexed_100k = 0;
   for (const size_t size : sizes) {
@@ -235,6 +260,11 @@ int main(int argc, char** argv) {
                         : strings::Format("{}k", size / 1000);
     metrics.Set(strings::Format("rules_{}_ns_per_event", label), point.indexed_ns);
     metrics.Set(strings::Format("index_build_{}_ms", label), build_ms);
+    if (size == 1000 || size == 1000000) {
+      Rng update_rng(9);
+      point.update_us = TimeUpdate(*index, tenants, update_rng);
+      metrics.Set(strings::Format("index_update_{}_us", label), point.update_us);
+    }
     if (size == 1000) ns_1k = point.indexed_ns;
     if (size == 1000000) ns_1m = point.indexed_ns;
     if (size == 100000) {
@@ -247,11 +277,11 @@ int main(int argc, char** argv) {
         }
         if (sample.size() >= kLinearEvents) break;
       }
-      linear_100k = TimeLinear(index->rules(), sample);
+      linear_100k = TimeLinear(rules, sample);
       metrics.Set("linear_100k_ns_per_event", linear_100k);
     }
 
-    table.push_back({label, F1(point.build_ms), F1(point.indexed_ns),
+    table.push_back({label, F1(point.build_ms), F1(point.update_us), F1(point.indexed_ns),
                      strings::Format("{}", point.matched),
                      strings::Format("{}", point.layout.trie_nodes),
                      strings::Format("{}", point.layout.anchored_rules),

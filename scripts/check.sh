@@ -74,12 +74,14 @@ else
   # The codec fuzz sweeps are the wire format's memory-safety gate: the
   # hostile-payload and bit-flip properties must actually have run under
   # ASan+UBSan (out-of-bounds reads in the cast-in-place v4 path are
-  # exactly what this build exists to catch).
+  # exactly what this build exists to catch). The rule index's delta
+  # property test frees shared trie nodes on every step.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RoundTripsEveryFieldExactly \
                    V4RejectsTruncationAtEveryCut \
                    V4MutatedPayloadsNeverCrashAndStayStructurallySound \
-                   WireV4.BindRejectsStructuralCorruption; do
+                   WireV4.BindRejectsStructuralCorruption \
+                   DeltasMatchFromScratchBuildsAndOldSnapshotsPersist; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -93,7 +95,9 @@ else
   # while proving nothing about the sharded hot path or the cross-shard
   # merge). The one-message publish test crosses sequencer, publish and
   # subscriber threads; the registry test reads a callback on one thread
-  # while another calls back into the registry.
+  # while another calls back into the registry. The rule-index delta race
+  # frees snapshots under live readers; the cloud/agent interleaving
+  # pushes filter changes from two control-plane threads.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -109,6 +113,8 @@ else
                    SpscRing.StressPreservesFifo \
                    ThreadPool.SpscFeedModeDrainsEveryTask \
                    ConcurrentSnapshotSwapsKeepVerdictsOracleExact \
+                   ConcurrentDeltasKeepBatchVerdictsOracleExact \
+                   ConcurrentRuleMutationsKeepAgentFiltersInStep \
                    FairDrainInterleavesTenantsUnderConcurrency \
                    PublishesEachSequencedBatchAsOneMessage \
                    MetricsRegistry.CallbacksRunOutsideTheRegistryLock; do

@@ -1,5 +1,7 @@
 #include "ripple/agent.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 #include "common/strings.h"
 
@@ -119,33 +121,26 @@ void Agent::Stop() {
   }
   action_queue_.Close();
   if (action_thread_.joinable()) action_thread_.join();
-  // Both threads joined: nothing can still hold an acquired snapshot.
-  const std::lock_guard<std::mutex> lock(rules_mutex_);
-  rule_index_.ReclaimRetired();
 }
 
-void Agent::InstallRuleFilter(const Rule& rule) {
+// In-flight evaluations keep the snapshot they hold; the next batch sees
+// the new one. No event ever waits on the control plane.
+void Agent::InstallRuleFilter(std::shared_ptr<const Rule> rule) {
   const std::lock_guard<std::mutex> lock(rules_mutex_);
-  rule_filters_[rule.id] = rule;
-  RebuildRuleIndex();
+  rule_index_.Publish(rule_index_.Acquire()->With(std::move(rule)));
 }
 
 void Agent::RemoveRuleFilter(const std::string& rule_id) {
   const std::lock_guard<std::mutex> lock(rules_mutex_);
-  if (rule_filters_.erase(rule_id) > 0) RebuildRuleIndex();
+  const auto index = rule_index_.Acquire();
+  if (const Rule* rule = index->Find(rule_id)) rule_index_.Publish(index->Without(*rule));
 }
 
-void Agent::RebuildRuleIndex() {
-  RuleIndex::Builder builder;
-  for (const auto& [id, rule] : rule_filters_) builder.Add(rule);
-  // In-flight evaluations keep the snapshot they acquired; new events
-  // see the fresh index. No event ever waits on the control plane.
-  // (Retired snapshots are reclaimed once the event loop has joined.)
-  rule_index_.Publish(builder.Build());
-}
-
-bool Agent::MatchesAnyRule(const monitor::FsEvent& event) const {
-  return rule_index_.Acquire()->MatchesAny(event);
+std::vector<std::string> Agent::RuleFilterIds() const {
+  std::vector<std::string> ids;
+  rule_index_.Acquire()->ForEachRule([&ids](const Rule& rule) { ids.push_back(rule.id); });
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 void Agent::EventLoop(const std::stop_token& stop) {
@@ -168,23 +163,29 @@ void Agent::EventLoop(const std::stop_token& stop) {
 }
 
 void Agent::WatcherLoop(const std::stop_token& stop) {
+  // One snapshot handle per poll.
+  const auto deliver = [this](const std::vector<monitor::FsEvent>& events) {
+    if (events.empty()) return;
+    const auto index = rule_index_.Acquire();
+    for (const auto& event : events) DeliverEvent(event, *index);
+  };
   while (!stop.stop_requested()) {
-    for (const auto& event : watcher_->Poll()) {
-      DeliverEvent(event);
-    }
+    deliver(watcher_->Poll());
     authority_->SleepFor(watcher_poll_interval_);
   }
   // Final poll so Stop() observes everything already journaled.
-  for (const auto& event : watcher_->Poll()) {
-    DeliverEvent(event);
-  }
+  deliver(watcher_->Poll());
 }
 
 void Agent::DeliverEvent(const monitor::FsEvent& event) {
+  DeliverEvent(event, *rule_index_.Acquire());
+}
+
+void Agent::DeliverEvent(const monitor::FsEvent& event, const RuleIndex& index) {
   events_seen_->Add();
   if (wm_rule_eval_ != nullptr) wm_rule_eval_->Advance(event.time);
   if (config_.tracer == nullptr || event.trace_id == 0) {
-    if (!MatchesAnyRule(event)) {
+    if (!index.MatchesAny(event)) {
       if (unmatched_ != nullptr) unmatched_->Add();
       return;
     }
@@ -197,7 +198,7 @@ void Agent::DeliverEvent(const monitor::FsEvent& event) {
   // the executing agent a parent to hang action.execute under.
   const VirtualTime start = authority_->Now();
   const uint64_t span = config_.tracer->NewSpanId();
-  if (MatchesAnyRule(event)) {
+  if (index.MatchesAny(event)) {
     events_matched_->Add();
     monitor::FsEvent reported = event;
     reported.parent_span = span;
@@ -222,15 +223,16 @@ void Agent::DeliverBatch(const monitor::EventBatch& batch) {
       return;
     }
   }
+  const auto index = rule_index_.Acquire();
   for (const monitor::FsEvent& event : batch.events()) {
-    DeliverEvent(event);
+    DeliverEvent(event, *index);
   }
 }
 
 void Agent::DeliverBatchView(const monitor::wire::EventBatchView& view) {
-  // One snapshot acquire and one descent cache for the whole batch:
+  // One snapshot handle and one descent cache for the whole batch:
   // consecutive events from the same directory share their trie walk.
-  const RuleIndex* index = rule_index_.Acquire();
+  const auto index = rule_index_.Acquire();
   RuleIndex::Scratch scratch;
   const size_t n = view.size();
   for (size_t i = 0; i < n; ++i) {

@@ -118,8 +118,12 @@ class Agent {
   void Stop();
 
   // --- Control plane (called by CloudService) ---
-  void InstallRuleFilter(const Rule& rule);
+  // Installs or replaces (by id) a rule in the local filter. The rule is
+  // shared with the cloud, not copied.
+  void InstallRuleFilter(std::shared_ptr<const Rule> rule);
   void RemoveRuleFilter(const std::string& rule_id);
+  // Ids of the rules in the local filter, sorted.
+  [[nodiscard]] std::vector<std::string> RuleFilterIds() const;
 
   // --- Action routing (called by CloudService workers) ---
   Status EnqueueAction(ActionRequest request);
@@ -155,10 +159,8 @@ class Agent {
   void DeliverBatchView(const monitor::wire::EventBatchView& view);
   void ReportWithRetry(const monitor::FsEvent& event);
   void ExecuteAction(ActionRequest request);
-  [[nodiscard]] bool MatchesAnyRule(const monitor::FsEvent& event) const;
-  // Recompiles rule_filters_ into a fresh snapshot. Caller holds
-  // rules_mutex_.
-  void RebuildRuleIndex();
+  // Filter + report for one event against a snapshot the caller holds.
+  void DeliverEvent(const monitor::FsEvent& event, const RuleIndex& index);
   static std::string ActionKey(const ActionRequest& request);
 
   AgentConfig config_;
@@ -173,14 +175,13 @@ class Agent {
   std::unique_ptr<monitor::InotifyMonitor> watcher_;
   VirtualDuration watcher_poll_interval_{};
 
-  // Control plane only: guards rule_filters_ and index rebuilds. The hot
-  // path never takes it — event evaluation loads the compiled snapshot
-  // below, so Install/Remove never stall in-flight filtering.
+  // Control plane only: serializes Install/Remove (read the current
+  // snapshot, publish its With/Without delta). The hot path never takes
+  // it, so Install/Remove never stall in-flight filtering.
   mutable std::mutex rules_mutex_;
-  std::map<std::string, Rule> rule_filters_;
-  // Copy-on-write compiled dispatch over rule_filters_ (ripple/rule_index.h):
-  // rebuilt and atomically swapped on every control-plane change; the
-  // event loop Acquire()s wait-free.
+  // The local filter (ripple/rule_index.h): the snapshot's own rule map
+  // is the filter set. The event loop takes one refcounted handle per
+  // batch.
   RuleSnapshotSlot rule_index_;
 
   std::map<ActionType, std::unique_ptr<ActionExecutor>> executors_;

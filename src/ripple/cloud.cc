@@ -86,67 +86,51 @@ void CloudService::Stop() {
   workers_.clear();
   cleanup_thread_.request_stop();
   if (cleanup_thread_.joinable()) cleanup_thread_.join();
-  // Workers are joined: nothing can still hold an acquired snapshot.
-  const std::lock_guard<std::mutex> lock(rules_mutex_);
-  rule_index_.ReclaimRetired();
-}
-
-void CloudService::RebuildRuleIndex() {
-  RuleIndex::Builder builder;
-  for (const auto& [id, rule] : rules_) builder.Add(rule);
-  // Workers keep evaluating against the snapshot they acquired; the next
-  // message sees the fresh index. No per-event rules_mutex_ anywhere.
-  // (Retired snapshots are reclaimed once the workers have joined.)
-  rule_index_.Publish(builder.Build());
 }
 
 void CloudService::EraseWatchAgentEntry(const std::string& watch_agent,
                                         const Rule* rule) {
   const auto it = rules_by_watch_agent_.find(watch_agent);
   if (it == rules_by_watch_agent_.end()) return;
-  std::erase(it->second, rule);
+  std::erase_if(it->second, [rule](const auto& held) { return held.get() == rule; });
   if (it->second.empty()) rules_by_watch_agent_.erase(it);
 }
 
 Status CloudService::RegisterRule(const Rule& rule) {
   if (rule.id.empty()) return InvalidArgumentError("rule requires an id");
-  {
-    const std::lock_guard<std::mutex> lock(rules_mutex_);
-    const auto it = rules_.find(rule.id);
-    if (it != rules_.end()) {
-      // Replacing: the watch agent may change, so re-home the secondary
-      // map entry (std::map node storage keeps &it->second stable).
-      EraseWatchAgentEntry(it->second.watch_agent, &it->second);
-      it->second = rule;
-      rules_by_watch_agent_[rule.watch_agent].push_back(&it->second);
-    } else {
-      Rule& stored = rules_[rule.id] = rule;
-      rules_by_watch_agent_[rule.watch_agent].push_back(&stored);
+  auto shared = std::make_shared<const Rule>(rule);
+  // Agent filters are pushed under rules_mutex_ (cloud -> agent lock
+  // order, as in RegisterAgent), so concurrent mutations of one rule
+  // reach the agent in the order the cloud applied them.
+  const std::lock_guard<std::mutex> lock(rules_mutex_);
+  std::shared_ptr<const Rule>& stored = rules_[rule.id];
+  if (stored != nullptr) {
+    EraseWatchAgentEntry(stored->watch_agent, stored.get());
+    if (stored->watch_agent != rule.watch_agent) {
+      // Re-homed: the old watch agent must stop reporting for it.
+      if (Agent* old = FindAgent(stored->watch_agent)) old->RemoveRuleFilter(rule.id);
     }
-    RebuildRuleIndex();
   }
+  stored = shared;
+  rules_by_watch_agent_[rule.watch_agent].push_back(shared);
+  // Workers keep evaluating against the snapshot they hold; the next
+  // message sees the new one.
+  rule_index_.Publish(rule_index_.Acquire()->With(shared));
   // Distribute to the watch agent so its local filter reports matching
   // events (SDCI's control-plane push, like flow rules to an SDN switch).
-  if (Agent* agent = FindAgent(rule.watch_agent)) {
-    agent->InstallRuleFilter(rule);
-  }
+  if (Agent* agent = FindAgent(rule.watch_agent)) agent->InstallRuleFilter(std::move(shared));
   return OkStatus();
 }
 
 Status CloudService::RemoveRule(const std::string& rule_id) {
-  Rule removed;
-  {
-    const std::lock_guard<std::mutex> lock(rules_mutex_);
-    const auto it = rules_.find(rule_id);
-    if (it == rules_.end()) return NotFoundError("no such rule: " + rule_id);
-    removed = it->second;
-    EraseWatchAgentEntry(removed.watch_agent, &it->second);
-    rules_.erase(it);
-    RebuildRuleIndex();
-  }
-  if (Agent* agent = FindAgent(removed.watch_agent)) {
-    agent->RemoveRuleFilter(rule_id);
-  }
+  const std::lock_guard<std::mutex> lock(rules_mutex_);
+  const auto it = rules_.find(rule_id);
+  if (it == rules_.end()) return NotFoundError("no such rule: " + rule_id);
+  const std::shared_ptr<const Rule> removed = std::move(it->second);
+  rules_.erase(it);
+  EraseWatchAgentEntry(removed->watch_agent, removed.get());
+  rule_index_.Publish(rule_index_.Acquire()->Without(*removed));
+  if (Agent* agent = FindAgent(removed->watch_agent)) agent->RemoveRuleFilter(rule_id);
   return OkStatus();
 }
 
@@ -154,7 +138,7 @@ std::vector<Rule> CloudService::Rules() const {
   const std::lock_guard<std::mutex> lock(rules_mutex_);
   std::vector<Rule> out;
   out.reserve(rules_.size());
-  for (const auto& [id, rule] : rules_) out.push_back(rule);
+  for (const auto& [id, rule] : rules_) out.push_back(*rule);
   return out;
 }
 
@@ -164,7 +148,7 @@ std::vector<Rule> CloudService::RulesForWatchAgent(const std::string& name) cons
   const auto it = rules_by_watch_agent_.find(name);
   if (it == rules_by_watch_agent_.end()) return out;
   out.reserve(it->second.size());
-  for (const Rule* rule : it->second) out.push_back(*rule);
+  for (const auto& rule : it->second) out.push_back(*rule);
   return out;
 }
 
@@ -183,7 +167,7 @@ void CloudService::RegisterAgent(Agent& agent) {
   const std::lock_guard<std::mutex> lock(rules_mutex_);
   const auto it = rules_by_watch_agent_.find(agent.name());
   if (it != rules_by_watch_agent_.end()) {
-    for (const Rule* rule : it->second) agent.InstallRuleFilter(*rule);
+    for (const auto& rule : it->second) agent.InstallRuleFilter(rule);
   }
 }
 
@@ -213,7 +197,7 @@ Status CloudService::ReportEvent(const std::string& agent_name,
   // the shared lane. One snapshot probe, no locks.
   std::string lane;
   {
-    const RuleIndex* index = rule_index_.Acquire();
+    const auto index = rule_index_.Acquire();
     std::vector<const Rule*> matches;
     index->Match(event, matches);
     bool mixed = false;
@@ -267,11 +251,10 @@ bool CloudService::ProcessMessage(const QueueMessage& message) {
   }
   // Evaluate against the compiled snapshot (the reporting agent's filter
   // is advisory; the cloud is authoritative, so rules added between
-  // filtering and processing still fire). The snapshot is immutable and
-  // kept alive by the slot's retire list, so the matched Rule pointers
-  // stay valid for the rest of this message — no per-event rules_mutex_
-  // acquisition.
-  const RuleIndex* index = rule_index_.Acquire();
+  // filtering and processing still fire). The handle keeps the snapshot,
+  // and so the matched Rule pointers, alive for the rest of this message
+  // — no rules_mutex_ acquisition.
+  const auto index = rule_index_.Acquire();
   std::vector<const Rule*> matches;
   index->Match(*event, matches);
   for (const Rule* rule : matches) {

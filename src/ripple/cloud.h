@@ -85,7 +85,12 @@ class CloudService {
 
   // --- Rule management (the control plane) ---
 
-  // Registers a rule and distributes it to its watch agent's filter.
+  // Registers (or replaces) a rule and distributes it to its watch
+  // agent's filter. The rule is copied once; the cloud's maps and index
+  // and the agent's index all share that copy. Agent filters change under
+  // the rules lock, so they follow the cloud's order of mutations, and a
+  // replacement that moves a rule to another watch agent removes it from
+  // the old one.
   Status RegisterRule(const Rule& rule);
   Status RemoveRule(const std::string& rule_id);
   [[nodiscard]] std::vector<Rule> Rules() const;
@@ -127,8 +132,6 @@ class CloudService {
   // Handles one queue message. Returns true when fully processed (and the
   // entry should be deleted).
   bool ProcessMessage(const QueueMessage& message);
-  // Recompiles rules_ into a fresh snapshot. Caller holds rules_mutex_.
-  void RebuildRuleIndex();
   void EraseWatchAgentEntry(const std::string& watch_agent, const Rule* rule);
   // Takes one matched-action token from the tenant's bucket; false when
   // the tenant is over quota (the caller routes the action to the DLQ).
@@ -138,15 +141,17 @@ class CloudService {
   CloudConfig config_;
   ReliableQueue queue_;
 
-  // Control plane only: guards rules_ and its derived structures. The
-  // per-message evaluation path loads the compiled snapshot instead.
+  // Control plane only: guards rules_, its derived structures, index
+  // mutations and the filter pushes to agents. The per-message evaluation
+  // path holds a snapshot handle instead.
   mutable std::mutex rules_mutex_;
-  std::map<std::string, Rule> rules_;
+  std::map<std::string, std::shared_ptr<const Rule>> rules_;
   // Secondary map for the rule-sync path (RegisterAgent, RulesForWatchAgent):
-  // pointers into rules_ node storage, grouped by watch agent.
-  std::map<std::string, std::vector<const Rule*>> rules_by_watch_agent_;
+  // the same shared rules, grouped by watch agent.
+  std::map<std::string, std::vector<std::shared_ptr<const Rule>>> rules_by_watch_agent_;
   // Copy-on-write compiled dispatch over rules_ (ripple/rule_index.h):
-  // workers Acquire() wait-free; Publish/Reclaim run under rules_mutex_.
+  // each mutation publishes a With/Without delta under rules_mutex_;
+  // workers take one refcounted handle per message.
   RuleSnapshotSlot rule_index_;
 
   // Per-tenant matched-action token buckets (virtual-time refill).

@@ -8,51 +8,80 @@
 
 namespace sdci::ripple {
 
+namespace {
+
+// Every snapshot gets a fresh stamp: a Scratch caching a descent from a
+// destroyed index cannot mistake a new index at the same address for its
+// owner.
+uint64_t NextEpoch() {
+  static std::atomic<uint64_t> epoch{1};
+  return epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Only the kinds below have catch-all buckets (KindOfEvent never yields
+// another bit).
+constexpr unsigned kKindBits = 7;
+
+}  // namespace
+
+std::string_view RuleIndex::NodeName(const Node& node) noexcept { return node.name; }
+
+void RuleIndex::Bucket::Append(const Entry& entry, bool in_place) {
+  if (!in_place || size_ == capacity_) {
+    const uint32_t capacity = in_place ? std::max<uint32_t>(4, 2 * capacity_) : size_ + 1;
+    auto grown = std::make_shared<Entry[]>(capacity);
+    std::copy(data_.get(), data_.get() + size_, grown.get());
+    data_ = std::move(grown);
+    capacity_ = capacity;
+  }
+  data_[size_++] = entry;
+}
+
+bool RuleIndex::Bucket::Remove(const Rule* rule) {
+  const auto entries = this->entries();
+  const auto it = std::find_if(entries.begin(), entries.end(),
+                               [rule](const Entry& e) { return e.rule == rule; });
+  if (it == entries.end()) return false;
+  std::shared_ptr<Entry[]> kept;
+  if (size_ > 1) {
+    kept = std::make_shared<Entry[]>(size_ - 1);
+    std::copy(entries.begin(), it, kept.get());
+    std::copy(it + 1, entries.end(), kept.get() + (it - entries.begin()));
+  }
+  data_ = std::move(kept);
+  capacity_ = --size_;
+  return true;
+}
+
+RuleIndex::RuleIndex() : root_(std::make_shared<Node>()), epoch_(NextEpoch()) {}
+
+std::shared_ptr<RuleIndex> RuleIndex::Edit() const {
+  auto next = std::shared_ptr<RuleIndex>(new RuleIndex(*this));
+  next->epoch_ = NextEpoch();
+  return next;
+}
+
 RuleIndex::Builder& RuleIndex::Builder::Add(Rule rule) {
   rules_.push_back(std::move(rule));
   return *this;
 }
 
 std::shared_ptr<const RuleIndex> RuleIndex::Builder::Build() {
-  // Monotone build stamp: a Scratch caching a descent from a destroyed
-  // index cannot mistake a new index at the same address for its owner.
-  static std::atomic<uint64_t> build_epoch{1};
   auto index = std::shared_ptr<RuleIndex>(new RuleIndex());
-  index->epoch_ = build_epoch.fetch_add(1, std::memory_order_relaxed);
-  std::sort(rules_.begin(), rules_.end(),
-            [](const Rule& a, const Rule& b) { return a.id < b.id; });
-  index->rules_ = std::move(rules_);
+  // One allocation holds every added rule, and each rule's pointer shares
+  // its reference count: the block is freed once no snapshot holds any of
+  // its rules.
+  const auto block = std::make_shared<const std::vector<Rule>>(std::move(rules_));
   rules_.clear();
-  index->compiled_.resize(index->rules_.size());
-  index->nodes_.emplace_back();  // root
-  for (uint32_t pos = 0; pos < index->rules_.size(); ++pos) {
-    const Rule& rule = index->rules_[pos];
-    const Glob& glob = rule.trigger.path_glob;
-    const std::string_view prefix = glob.LiteralPrefix();
-    Compiled& c = index->compiled_[pos];
-    c.event_mask = rule.trigger.event_mask;
-    c.prefix_len = static_cast<uint32_t>(prefix.size());
-    c.has_suffix = rule.trigger.name_suffix.has_value();
-    const std::string_view tail =
-        std::string_view(glob.pattern()).substr(prefix.size());
-    if (tail.empty()) {
-      c.tail = Compiled::Tail::kExact;
-    } else if (tail.size() >= 2 &&
-               tail.find_first_not_of('*') == std::string_view::npos) {
-      // A run of >= 2 stars is one globstar token: matches any remainder.
-      c.tail = Compiled::Tail::kAnything;
-    } else {
-      c.tail = Compiled::Tail::kGlob;
-    }
-    if (!rule.enabled || c.event_mask == 0) continue;  // can never match
-    if (prefix.empty()) {
-      for (unsigned bit = 0; bit < index->catch_all_.size(); ++bit) {
-        if ((c.event_mask & (1u << bit)) != 0) index->catch_all_[bit].push_back(pos);
-      }
-    } else {
-      index->Insert(prefix, pos);
-      ++index->anchored_rules_;
-    }
+  std::vector<std::shared_ptr<const Rule>> shared;
+  shared.reserve(block->size());
+  for (const Rule& rule : *block) shared.emplace_back(block, &rule);
+  index->rules_ = HashTrie<Rule, &RuleIndex::RuleId>::FromValues(std::move(shared));
+  // Index in Add order (the order the rules sit in memory). A rule that a
+  // later one with the same id replaced is not installed.
+  const bool distinct = index->rules_.size() == block->size();
+  for (const Rule& rule : *block) {
+    if (distinct || index->rules_.Find(rule.id) == &rule) index->Index(rule, /*in_place=*/true);
   }
   return index;
 }
@@ -62,63 +91,171 @@ std::shared_ptr<const RuleIndex> RuleIndex::Empty() {
   return kEmpty;
 }
 
-uint32_t RuleIndex::ChildOrCreate(uint32_t node, std::string_view comp) {
-  const auto it = nodes_[node].children.find(comp);
-  if (it != nodes_[node].children.end()) return it->second;
-  const auto child = static_cast<uint32_t>(nodes_.size());
-  nodes_.emplace_back();
-  nodes_[node].children.emplace(std::string(comp), child);
-  return child;
+std::shared_ptr<const RuleIndex> RuleIndex::With(std::shared_ptr<const Rule> rule) const {
+  auto next = Edit();
+  const Rule& installed = *rule;
+  // The replaced rule stays alive through this snapshot while its entries
+  // are found and dropped from the copy.
+  if (const auto replaced = next->rules_.Put(std::move(rule))) next->Unindex(*replaced);
+  next->Index(installed, /*in_place=*/false);
+  return next;
 }
 
-void RuleIndex::Insert(std::string_view prefix, uint32_t pos) {
-  const size_t cut = prefix.find_last_of('/');
-  uint32_t node = 0;
-  size_t depth = 0;
-  std::string_view partial = prefix;
-  if (cut != std::string_view::npos) {
-    partial = prefix.substr(cut + 1);
-    // Directory components of the prefix (everything through the last
-    // '/'), including the leading empty component of absolute paths.
-    const std::string_view rest = prefix.substr(0, cut);
-    size_t at = 0;
-    while (true) {
-      const size_t slash = rest.find('/', at);
-      const std::string_view comp =
-          rest.substr(at, (slash == std::string_view::npos ? rest.size() : slash) - at);
-      node = ChildOrCreate(node, comp);
-      ++depth;
-      if (slash == std::string_view::npos) break;
-      at = slash + 1;
-    }
+std::shared_ptr<const RuleIndex> RuleIndex::Without(const Rule& rule) const {
+  auto next = Edit();
+  if (const Rule* installed = rules_.Find(rule.id)) {
+    next->Unindex(*installed);
+    next->rules_.Erase(rule.id);
   }
-  if (!partial.empty()) ++depth;
-  max_depth_ = std::max(max_depth_, depth);
-  Node& anchor = nodes_[node];
-  if (partial.empty()) {
-    anchor.here.push_back(pos);
+  return next;
+}
+
+RuleIndex::Entry RuleIndex::Compile(const Rule& rule, std::string_view prefix) {
+  const Glob& glob = rule.trigger.path_glob;
+  Entry entry;
+  entry.rule = &rule;
+  entry.event_mask = rule.trigger.event_mask;
+  entry.prefix_len = static_cast<uint32_t>(prefix.size());
+  entry.has_suffix = rule.trigger.name_suffix.has_value();
+  const std::string_view tail = std::string_view(glob.pattern()).substr(prefix.size());
+  if (tail.empty()) {
+    entry.tail = Entry::Tail::kExact;
+  } else if (tail.size() >= 2 && tail.find_first_not_of('*') == std::string_view::npos) {
+    // A run of >= 2 stars is one globstar token: matches any remainder.
+    entry.tail = Entry::Tail::kAnything;
+  } else {
+    entry.tail = Entry::Tail::kGlob;
+  }
+  return entry;
+}
+
+RuleIndex::Anchor RuleIndex::AnchorOf(std::string_view prefix) {
+  Anchor anchor;
+  const size_t cut = prefix.find_last_of('/');
+  if (cut != std::string_view::npos) {
+    anchor.dirs = prefix.substr(0, cut + 1);
+    anchor.depth = static_cast<size_t>(std::count(anchor.dirs.begin(), anchor.dirs.end(), '/'));
+  }
+  anchor.partial = prefix.substr(anchor.dirs.size());
+  if (!anchor.partial.empty()) ++anchor.depth;
+  return anchor;
+}
+
+std::string_view RuleIndex::PopDir(std::string_view& dirs) noexcept {
+  const size_t slash = dirs.find('/');
+  const std::string_view comp = dirs.substr(0, slash);
+  dirs.remove_prefix(slash + 1);
+  return comp;
+}
+
+void RuleIndex::Index(const Rule& rule, bool in_place) {
+  const std::string_view prefix = rule.trigger.path_glob.LiteralPrefix();
+  const Entry entry = Compile(rule, prefix);
+  if (!rule.enabled || entry.event_mask == 0) return;  // can never match
+  if (prefix.empty()) {
+    bool bucketed = false;
+    for (unsigned bit = 0; bit < kKindBits; ++bit) {
+      if ((entry.event_mask & (1u << bit)) == 0) continue;
+      catch_all_[bit].Append(entry, in_place);
+      bucketed = true;
+    }
+    if (bucketed) ++catch_all_rules_;
     return;
   }
-  for (auto& [p, bucket] : anchor.partial) {
-    if (p == partial) {
-      bucket.push_back(pos);
+  const Anchor anchor = AnchorOf(prefix);
+  ++anchored_rules_;
+  if (depth_count_.size() <= anchor.depth) depth_count_.resize(anchor.depth + 1);
+  ++depth_count_[anchor.depth];
+  // Walk down copying each node on the path (in place: editing it), and
+  // relink every copy into its parent's children.
+  if (!in_place) root_ = std::make_shared<Node>(*root_);
+  auto* node = const_cast<Node*>(root_.get());  // an unpublished copy (or the builder's)
+  for (std::string_view dirs = anchor.dirs; !dirs.empty();) {
+    const std::string_view dir = PopDir(dirs);
+    const Node* child = node->children.Find(dir);
+    if (child != nullptr && in_place) {
+      node = const_cast<Node*>(child);
+      continue;
+    }
+    std::shared_ptr<Node> next;
+    if (child == nullptr) {
+      next = std::make_shared<Node>();
+      next->name = dir;
+      ++trie_nodes_;
+    } else {
+      next = std::make_shared<Node>(*child);
+    }
+    Node* raw = next.get();
+    node->children.Put(std::move(next), in_place);
+    node = raw;
+  }
+  if (anchor.partial.empty()) {
+    node->here.Append(entry, in_place);
+    return;
+  }
+  for (Partial& p : node->partial) {
+    if (p.prefix == anchor.partial) {
+      p.bucket.Append(entry, in_place);
       return;
     }
   }
-  anchor.partial.emplace_back(std::string(partial), std::vector<uint32_t>{pos});
+  node->partial.push_back(Partial{std::string(anchor.partial), {}});
+  node->partial.back().bucket.Append(entry, in_place);
+}
+
+void RuleIndex::Unindex(const Rule& rule) {
+  if (!rule.enabled || rule.trigger.event_mask == 0) return;  // never indexed
+  const std::string_view prefix = rule.trigger.path_glob.LiteralPrefix();
+  if (prefix.empty()) {
+    bool bucketed = false;
+    for (Bucket& bucket : catch_all_) bucketed |= bucket.Remove(&rule);
+    if (bucketed) --catch_all_rules_;
+    return;
+  }
+  const Anchor anchor = AnchorOf(prefix);
+  root_ = Erased(*root_, anchor.dirs, anchor.partial, &rule);
+  if (root_ == nullptr) root_ = std::make_shared<Node>();  // the root stays
+  --anchored_rules_;
+  --depth_count_[anchor.depth];
+  while (!depth_count_.empty() && depth_count_.back() == 0) depth_count_.pop_back();
+}
+
+std::shared_ptr<const RuleIndex::Node> RuleIndex::Erased(
+    const Node& node, std::string_view dirs, std::string_view partial, const Rule* rule) {
+  auto copy = std::make_shared<Node>(node);
+  if (!dirs.empty()) {
+    const std::string_view dir = PopDir(dirs);
+    const Node* child = copy->children.Find(dir);
+    auto next = Erased(*child, dirs, partial, rule);
+    if (next == nullptr) {
+      copy->children.Erase(dir);
+      --trie_nodes_;
+    } else {
+      copy->children.Put(std::move(next));
+    }
+  } else if (partial.empty()) {
+    copy->here.Remove(rule);
+  } else {
+    const auto it = std::find_if(copy->partial.begin(), copy->partial.end(),
+                                 [partial](const Partial& p) { return p.prefix == partial; });
+    it->bucket.Remove(rule);
+    if (it->bucket.empty()) copy->partial.erase(it);
+  }
+  if (copy->empty()) return nullptr;
+  return copy;
 }
 
 void RuleIndex::DescendDir(std::string_view dir, Scratch& scratch) const {
-  scratch.dir_candidates.clear();
+  scratch.dir_buckets.clear();
   scratch.leaf_node = nullptr;
-  const Node* node = &nodes_[0];
+  const Node* node = root_.get();
   if (dir.empty()) {
     // A bare filename: only root partials (checked against the leaf by the
     // caller) and catch-alls can apply.
     scratch.leaf_node = node;
     return;
   }
-  // dir is '/'-terminated; walk its components, gathering every candidate
+  // dir is '/'-terminated; walk its components, gathering every bucket
   // that does not depend on the leaf: partial prefixes matched against the
   // next directory component, and rules anchored exactly at a visited
   // directory. The deepest node's partials compare against the leaf and
@@ -129,17 +266,12 @@ void RuleIndex::DescendDir(std::string_view dir, Scratch& scratch) const {
     const size_t slash = rest.find('/', at);
     const std::string_view comp =
         rest.substr(at, (slash == std::string_view::npos ? rest.size() : slash) - at);
-    for (const auto& [p, bucket] : node->partial) {
-      if (comp.starts_with(p)) {
-        scratch.dir_candidates.insert(scratch.dir_candidates.end(), bucket.begin(),
-                                      bucket.end());
-      }
+    for (const Partial& p : node->partial) {
+      if (comp.starts_with(p.prefix)) scratch.dir_buckets.push_back(p.bucket.entries());
     }
-    const auto it = node->children.find(comp);
-    if (it == node->children.end()) return;  // nothing anchored deeper
-    node = &nodes_[it->second];
-    scratch.dir_candidates.insert(scratch.dir_candidates.end(), node->here.begin(),
-                                  node->here.end());
+    node = node->children.Find(comp);
+    if (node == nullptr) return;  // nothing anchored deeper
+    if (!node->here.empty()) scratch.dir_buckets.push_back(node->here.entries());
     if (slash == std::string_view::npos) break;
     at = slash + 1;
   }
@@ -165,45 +297,44 @@ void RuleIndex::EnsureDescent(std::string_view path, std::string_view& leaf,
   scratch.epoch = epoch_;
 }
 
-bool RuleIndex::Residual(uint32_t pos, uint32_t kind, std::string_view path,
-                         std::string_view name) const {
-  const Compiled& c = compiled_[pos];
-  if ((kind & c.event_mask) == 0) return false;
-  switch (c.tail) {
-    case Compiled::Tail::kExact:
-      if (path.size() != c.prefix_len) return false;
+bool RuleIndex::Residual(const Entry& entry, uint32_t kind, std::string_view path,
+                         std::string_view name) {
+  if ((kind & entry.event_mask) == 0) return false;
+  switch (entry.tail) {
+    case Entry::Tail::kExact:
+      if (path.size() != entry.prefix_len) return false;
       break;
-    case Compiled::Tail::kAnything:
+    case Entry::Tail::kAnything:
       break;
-    case Compiled::Tail::kGlob:
-      if (!rules_[pos].trigger.path_glob.MatchesSuffix(path.substr(c.prefix_len))) {
+    case Entry::Tail::kGlob:
+      if (!entry.rule->trigger.path_glob.MatchesSuffix(path.substr(entry.prefix_len))) {
         return false;
       }
       break;
   }
-  return !c.has_suffix ||
-         strings::EndsWith(name, *rules_[pos].trigger.name_suffix);
+  return !entry.has_suffix || strings::EndsWith(name, *entry.rule->trigger.name_suffix);
 }
 
 bool RuleIndex::ProbeAny(uint32_t kind, std::string_view path,
                          std::string_view leaf, std::string_view name,
                          Scratch& scratch) const {
-  for (const uint32_t pos : scratch.dir_candidates) {
-    if (Residual(pos, kind, path, name)) return true;
+  for (const auto bucket : scratch.dir_buckets) {
+    for (const Entry& entry : bucket) {
+      if (Residual(entry, kind, path, name)) return true;
+    }
   }
   if (scratch.leaf_node != nullptr) {
-    const auto* node = static_cast<const Node*>(scratch.leaf_node);
-    for (const auto& [p, bucket] : node->partial) {
-      if (!leaf.starts_with(p)) continue;
-      for (const uint32_t pos : bucket) {
-        if (Residual(pos, kind, path, name)) return true;
+    for (const Partial& p : scratch.leaf_node->partial) {
+      if (!leaf.starts_with(p.prefix)) continue;
+      for (const Entry& entry : p.bucket.entries()) {
+        if (Residual(entry, kind, path, name)) return true;
       }
     }
   }
   const unsigned bit = static_cast<unsigned>(std::countr_zero(kind));
   if (bit < catch_all_.size()) {
-    for (const uint32_t pos : catch_all_[bit]) {
-      if (Residual(pos, kind, path, name)) return true;
+    for (const Entry& entry : catch_all_[bit].entries()) {
+      if (Residual(entry, kind, path, name)) return true;
     }
   }
   return false;
@@ -212,30 +343,25 @@ bool RuleIndex::ProbeAny(uint32_t kind, std::string_view path,
 void RuleIndex::ProbeAll(uint32_t kind, std::string_view path,
                          std::string_view leaf, std::string_view name,
                          Scratch& scratch, std::vector<const Rule*>& out) const {
-  auto& candidates = scratch.candidates;
-  candidates.clear();
-  candidates.insert(candidates.end(), scratch.dir_candidates.begin(),
-                    scratch.dir_candidates.end());
+  const size_t first = out.size();
+  const auto probe = [&](std::span<const Entry> bucket) {
+    for (const Entry& entry : bucket) {
+      if (Residual(entry, kind, path, name)) out.push_back(entry.rule);
+    }
+  };
+  for (const auto bucket : scratch.dir_buckets) probe(bucket);
   if (scratch.leaf_node != nullptr) {
-    const auto* node = static_cast<const Node*>(scratch.leaf_node);
-    for (const auto& [p, bucket] : node->partial) {
-      if (p.size() <= leaf.size() && leaf.starts_with(p)) {
-        candidates.insert(candidates.end(), bucket.begin(), bucket.end());
-      }
+    for (const Partial& p : scratch.leaf_node->partial) {
+      if (leaf.starts_with(p.prefix)) probe(p.bucket.entries());
     }
   }
   const unsigned bit = static_cast<unsigned>(std::countr_zero(kind));
-  if (bit < catch_all_.size()) {
-    candidates.insert(candidates.end(), catch_all_[bit].begin(),
-                      catch_all_[bit].end());
-  }
-  // Every rule lives in exactly one bucket, so positions are unique; the
-  // sort restores rule-id order (rules_ is id-sorted), making the output
-  // bit-identical to a linear scan over an id-ordered rule map.
-  std::sort(candidates.begin(), candidates.end());
-  for (const uint32_t pos : candidates) {
-    if (Residual(pos, kind, path, name)) out.push_back(&rules_[pos]);
-  }
+  if (bit < catch_all_.size()) probe(catch_all_[bit].entries());
+  // Every rule lives in exactly one probed bucket, so the matches are
+  // unique; sorting them by id makes the output bit-identical to a linear
+  // scan over an id-ordered rule map.
+  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
+            [](const Rule* a, const Rule* b) { return a->id < b->id; });
 }
 
 bool RuleIndex::MatchesAny(uint32_t kind, std::string_view path,
@@ -290,17 +416,10 @@ size_t RuleIndex::EvaluateBatch(const monitor::wire::EventBatchView& view,
 
 RuleIndex::Layout RuleIndex::layout() const noexcept {
   Layout layout;
-  layout.trie_nodes = nodes_.size();
+  layout.trie_nodes = trie_nodes_;
   layout.anchored_rules = anchored_rules_;
-  layout.max_depth = max_depth_;
-  // A catch-all rule sits in one bucket per mask bit; count distinct rules.
-  std::vector<uint32_t> distinct;
-  for (const auto& rules : catch_all_) {
-    distinct.insert(distinct.end(), rules.begin(), rules.end());
-  }
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  layout.catch_all_rules = distinct.size();
+  layout.catch_all_rules = catch_all_rules_;
+  layout.max_depth = depth_count_.empty() ? 0 : depth_count_.size() - 1;
   return layout;
 }
 

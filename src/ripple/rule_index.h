@@ -28,21 +28,26 @@
 // consecutive events from the same directory, the common case for real
 // changelog streams.
 //
-// A RuleIndex is immutable once built. Owners publish it through a
-// RuleSnapshotSlot (below): the control plane rebuilds and swaps on rule
-// changes, the hot path acquires the snapshot with one atomic pointer
-// load and never takes a mutex.
+// A RuleIndex is an immutable, persistent snapshot. With() and Without()
+// return a new snapshot that shares every trie node, bucket and rule it
+// did not touch with the old one: a mutation copies the nodes from the
+// root to the rule's anchor and the one bucket it changes, O(trie path),
+// and compiles only the changed rule. Rules are shared, never copied:
+// owners hand in a std::shared_ptr<const Rule>. A snapshot no one holds is
+// freed at once, and so is everything only it reached. Owners publish
+// snapshots through a RuleSnapshotSlot (below).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/hash_trie.h"
 #include "monitor/event.h"
 #include "monitor/wire_v4.h"
 #include "ripple/rule.h"
@@ -50,28 +55,46 @@
 namespace sdci::ripple {
 
 class RuleIndex {
+  // Per-rule residual predicate, precompiled from the trigger and kept
+  // inline in the trie buckets so a probe reads the rule only for glob
+  // tails and name suffixes.
+  struct Entry {
+    const Rule* rule = nullptr;  // owned by the snapshot's rules_
+    uint32_t event_mask = 0;
+    uint32_t prefix_len = 0;
+    // What remains of the glob after the literal prefix: nothing (the
+    // path must equal the prefix exactly), a bare "**" (any descendant —
+    // the prefix probe alone decides), or a general tail that needs
+    // Glob::MatchesSuffix on the path remainder.
+    enum class Tail : uint8_t { kExact, kAnything, kGlob } tail = Tail::kGlob;
+    bool has_suffix = false;
+  };
+  struct Node;
+
  public:
   // Reusable probe state. Holds the cached trie descent of the last
-  // event's directory plus the candidate scratch vector, so batch
-  // evaluation allocates nothing in steady state. A Scratch may be reused
-  // across indexes — the cache self-invalidates when the index (or its
-  // build epoch) changes.
+  // event's directory, so batch evaluation allocates nothing in steady
+  // state. A Scratch may be reused across indexes — the cache
+  // self-invalidates when the index (or its epoch) changes.
   struct Scratch {
-    std::string dir;                       // cached directory (with trailing '/')
-    std::vector<uint32_t> dir_candidates;  // candidates independent of the leaf
-    const void* leaf_node = nullptr;       // deepest trie node (null: descent cut short)
+    std::string dir;  // cached directory (with trailing '/')
+    // Buckets whose candidates do not depend on the leaf.
+    std::vector<std::span<const Entry>> dir_buckets;
+    const Node* leaf_node = nullptr;  // deepest trie node (null: descent cut short)
     const RuleIndex* owner = nullptr;
     uint64_t epoch = 0;
-    std::vector<uint32_t> candidates;      // per-event scratch
   };
 
+  // Bulk construction for loading a whole rule set at once: builds the
+  // trie in place (every node is new and unshared). The built snapshot's
+  // rules share one allocation, freed once no snapshot holds any of them.
   class Builder {
    public:
-    // Disabled rules are kept (rules() reflects the installed set) but
-    // never indexed, so they never match — same verdict as a linear scan.
+    // Disabled rules are kept (size() counts them) but never indexed, so
+    // they never match — same verdict as a linear scan. A later rule with
+    // an earlier rule's id replaces it, as With() does.
     Builder& Add(Rule rule);
-    // Compiles the added rules (sorted by id — match output order equals
-    // a linear scan over an id-ordered rule map) and resets the builder.
+    // Compiles the added rules and resets the builder.
     [[nodiscard]] std::shared_ptr<const RuleIndex> Build();
 
    private:
@@ -81,6 +104,15 @@ class RuleIndex {
   // The shared empty index (what an Agent starts with).
   [[nodiscard]] static std::shared_ptr<const RuleIndex> Empty();
 
+  // --- Copy-on-write mutations ---
+
+  // A new snapshot with `rule` installed, replacing the rule with the
+  // same id if there is one. This snapshot is unchanged.
+  [[nodiscard]] std::shared_ptr<const RuleIndex> With(std::shared_ptr<const Rule> rule) const;
+  // A new snapshot without the installed rule whose id is `rule.id` (the
+  // same rule set when there is none). This snapshot is unchanged.
+  [[nodiscard]] std::shared_ptr<const RuleIndex> Without(const Rule& rule) const;
+
   // --- Single-event probes ---
 
   // `kind` must be KindOfEvent(event type): a single EventKind bit, or 0
@@ -88,7 +120,8 @@ class RuleIndex {
   [[nodiscard]] bool MatchesAny(uint32_t kind, std::string_view path,
                                 std::string_view name, Scratch& scratch) const;
   // Appends every matching enabled rule in rule-id order — bit-identical
-  // to a linear `trigger.Matches` scan over the same rules.
+  // to a linear `trigger.Matches` scan over the same rules. The pointers
+  // stay valid while this snapshot is held.
   void Match(uint32_t kind, std::string_view path, std::string_view name,
              Scratch& scratch, std::vector<const Rule*>& out) const;
 
@@ -107,9 +140,16 @@ class RuleIndex {
   size_t EvaluateBatch(const monitor::wire::EventBatchView& view,
                        Scratch& scratch, std::vector<uint32_t>& matched) const;
 
-  // All installed rules (including disabled), sorted by id. The property
-  // tests run their linear-scan oracle over exactly this set.
-  [[nodiscard]] const std::vector<Rule>& rules() const noexcept { return rules_; }
+  // --- Installed rules (including disabled) ---
+
+  [[nodiscard]] const Rule* Find(std::string_view id) const noexcept {
+    return rules_.Find(id);
+  }
+  // Visits every installed rule, in no particular order.
+  template <typename Fn>
+  void ForEachRule(Fn&& fn) const {
+    rules_.ForEach(fn);
+  }
   [[nodiscard]] size_t size() const noexcept { return rules_.size(); }
 
   // Structure introspection for benches and docs.
@@ -122,47 +162,72 @@ class RuleIndex {
   [[nodiscard]] Layout layout() const noexcept;
 
  private:
-  friend class Builder;
+  static std::string_view RuleId(const Rule& rule) noexcept { return rule.id; }
+  static std::string_view NodeName(const Node& node) noexcept;
 
-  // Per-rule residual predicate, precompiled from the trigger.
-  struct Compiled {
-    uint32_t event_mask = 0;
-    uint32_t prefix_len = 0;
-    // What remains of the glob after the literal prefix: nothing (the
-    // path must equal the prefix exactly), a bare "**" (any descendant —
-    // the prefix probe alone decides), or a general tail that needs
-    // Glob::MatchesSuffix on the path remainder.
-    enum class Tail : uint8_t { kExact, kAnything, kGlob } tail = Tail::kGlob;
-    bool has_suffix = false;
+  // An immutable run of entries, shared between snapshots until one of
+  // them changes it. The builder appends in place (amortized, with
+  // spare capacity); a snapshot mutation copies the run.
+  class Bucket {
+   public:
+    [[nodiscard]] std::span<const Entry> entries() const noexcept {
+      return {data_.get(), size_};
+    }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    void Append(const Entry& entry, bool in_place);
+    // Drops the entry for `rule`. Returns false when there is none.
+    bool Remove(const Rule* rule);
+
+   private:
+    std::shared_ptr<Entry[]> data_;
+    uint32_t size_ = 0;
+    uint32_t capacity_ = 0;
   };
 
-  struct SvHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct SvEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const noexcept {
-      return a == b;
-    }
+  struct Partial {
+    std::string prefix;
+    Bucket bucket;
   };
 
   struct Node {
-    std::unordered_map<std::string, uint32_t, SvHash, SvEq> children;
+    std::string name;  // the directory component (key in the parent)
+    HashTrie<Node, &RuleIndex::NodeName> children;
     // Rules anchored exactly at this directory (prefix ends on a '/').
-    std::vector<uint32_t> here;
+    Bucket here;
     // Rules whose prefix ends mid-component: checked with starts_with
     // against the next path component. Grouped by partial string.
-    std::vector<std::pair<std::string, std::vector<uint32_t>>> partial;
+    std::vector<Partial> partial;
+
+    [[nodiscard]] bool empty() const noexcept {
+      return children.empty() && here.empty() && partial.empty();
+    }
   };
 
-  RuleIndex() = default;
+  // Where a rule's literal prefix anchors: its directories (everything
+  // through the last '/', one trie level per '/', including the leading
+  // empty component of absolute paths) and what is left after them.
+  struct Anchor {
+    std::string_view dirs;  // "" or '/'-terminated
+    std::string_view partial;
+    size_t depth = 0;  // in path components
+  };
+  // Splits the first component off `dirs` ('/'-terminated).
+  static std::string_view PopDir(std::string_view& dirs) noexcept;
 
-  // Inserts compiled rule `pos` under its literal prefix.
-  void Insert(std::string_view prefix, uint32_t pos);
-  [[nodiscard]] uint32_t ChildOrCreate(uint32_t node, std::string_view comp);
+  RuleIndex();
+  // The unpublished copy a mutation edits (shares everything, new epoch).
+  [[nodiscard]] std::shared_ptr<RuleIndex> Edit() const;
+
+  // `prefix` is the trigger glob's LiteralPrefix().
+  static Entry Compile(const Rule& rule, std::string_view prefix);
+  static Anchor AnchorOf(std::string_view prefix);
+  // Adds/removes an installed rule's entries. `in_place` writes the trie
+  // directly and is only for indexes under construction by the Builder.
+  void Index(const Rule& rule, bool in_place);
+  void Unindex(const Rule& rule);
+  // Path-copying removal below `node`; null when the node empties.
+  std::shared_ptr<const Node> Erased(const Node& node, std::string_view dirs,
+                                     std::string_view partial, const Rule* rule);
 
   // Refreshes scratch's cached descent for `dir` ("" or '/'-terminated).
   void DescendDir(std::string_view dir, Scratch& scratch) const;
@@ -176,66 +241,53 @@ class RuleIndex {
                 std::vector<const Rule*>& out) const;
   void EnsureDescent(std::string_view path, std::string_view& leaf,
                      Scratch& scratch) const;
-  [[nodiscard]] bool Residual(uint32_t pos, uint32_t kind, std::string_view path,
-                              std::string_view name) const;
+  [[nodiscard]] static bool Residual(const Entry& entry, uint32_t kind,
+                                     std::string_view path, std::string_view name);
 
-  std::vector<Rule> rules_;        // sorted by id; positions index this
-  std::vector<Compiled> compiled_; // parallel to rules_
-  std::vector<Node> nodes_;        // nodes_[0] is the root
-  std::array<std::vector<uint32_t>, 7> catch_all_{};  // per EventKind bit
+  HashTrie<Rule, &RuleIndex::RuleId> rules_;  // installed rules by id
+  std::shared_ptr<const Node> root_;
+  std::array<Bucket, 7> catch_all_{};  // per EventKind bit
+  // Anchored rules per anchor depth; the last element is nonzero.
+  std::vector<uint32_t> depth_count_;
+  size_t trie_nodes_ = 1;
   size_t anchored_rules_ = 0;
-  size_t max_depth_ = 0;
-  uint64_t epoch_ = 0;  // monotone build stamp (Scratch invalidation)
+  size_t catch_all_rules_ = 0;
+  uint64_t epoch_ = 0;  // unique per snapshot (Scratch invalidation)
 };
 
-// Publishes immutable RuleIndex snapshots to wait-free readers.
+// Publishes RuleIndex snapshots to readers.
 //
-// The hot path calls Acquire(): a single acquire load of a raw pointer —
-// no refcount traffic and no lock. (std::atomic<std::shared_ptr> would
-// also work semantically, but libstdc++'s implementation guards the
-// control block with an embedded spin lock whose reader unlock is
-// relaxed, which both serializes every probe and trips TSan.) A pointer
-// returned by Acquire() stays valid because replaced snapshots are
-// parked on a retire list owned by the slot: reclamation is deferred to
-// ReclaimRetired() / destruction, after the owner has stopped the
-// threads that read through the slot. Retired memory is therefore sized
-// by control-plane churn (rule installs and removals), never by event
-// rate; owners with heavy churn should reclaim whenever their workers
-// are known to be quiesced.
+// Acquire() hands out a refcounted handle on the current snapshot. The
+// handle copy is the only thing done under the slot's lock: no reader
+// waits on a compile or a mutation, and no probe runs under a lock.
+// Readers take one handle per unit of work (a batch, a queue message),
+// never per event; matched Rule pointers stay valid while it is held.
+// Publish() swaps in the next snapshot. The replaced one is freed as
+// soon as its last reader drops its handle — there is no retire list,
+// so memory follows the live snapshots, not the history of rule changes.
+// Consecutive snapshots share all but the path a mutation copied.
 //
-// Publish()/ReclaimRetired() must be externally serialized — callers
-// already hold their control-plane rules mutex. Acquire() is safe from
-// any thread at any time and never returns null.
+// Owners serialize their read-modify-Publish steps under their own
+// control-plane rules mutex, so no mutation is lost.
 class RuleSnapshotSlot {
  public:
-  RuleSnapshotSlot() : current_(RuleIndex::Empty()) {
-    live_.store(current_.get(), std::memory_order_release);
+  [[nodiscard]] std::shared_ptr<const RuleIndex> Acquire() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
-  // Hot path: the current snapshot. Matched Rule pointers stay valid
-  // exactly as long as the snapshot they came from — i.e. until the
-  // owner reclaims, which it may only do once readers are quiesced.
-  [[nodiscard]] const RuleIndex* Acquire() const noexcept {
-    return live_.load(std::memory_order_acquire);
-  }
-
-  // Control plane: swap in a freshly built snapshot.
   void Publish(std::shared_ptr<const RuleIndex> next) {
-    retired_.push_back(std::move(current_));
-    current_ = std::move(next);
-    live_.store(current_.get(), std::memory_order_release);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      current_.swap(next);
+    }
+    // `next` now holds the replaced snapshot; it is released here, outside
+    // the lock (and freed unless a reader still holds it).
   }
-
-  // Frees retired snapshots. Only safe once no reader can still be using
-  // a pointer from an earlier Acquire().
-  void ReclaimRetired() { retired_.clear(); }
-
-  [[nodiscard]] size_t retired_count() const noexcept { return retired_.size(); }
 
  private:
-  std::shared_ptr<const RuleIndex> current_;
-  std::vector<std::shared_ptr<const RuleIndex>> retired_;
-  std::atomic<const RuleIndex*> live_{nullptr};
+  mutable std::mutex mutex_;
+  std::shared_ptr<const RuleIndex> current_ = RuleIndex::Empty();
 };
 
 }  // namespace sdci::ripple

@@ -3,6 +3,12 @@
 // (at-least-once), dedupe, and rule distribution to agents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/rng.h"
 #include "ripple/agent.h"
 #include "ripple/cloud.h"
 
@@ -461,6 +467,55 @@ TEST_F(CloudAgentTest, TenantRuleReportsRideTheTenantLane) {
   cloud.PumpUntilQuiet();
   EXPECT_EQ(cloud.queue().LaneCount(), 0u);
   EXPECT_EQ(cloud.Stats().actions_dispatched, 2u);
+}
+
+TEST_F(CloudAgentTest, RehomedRuleStopsReportingOnOldWatchAgent) {
+  CloudService cloud(authority_, FastCloud());
+  auto a = MakeAgent(cloud, "a");
+  auto b = MakeAgent(cloud, "b");
+  ASSERT_TRUE(cloud.RegisterRule(EmailRule("moving", "a")).ok());
+  a->DeliverEvent(CreateEvent("/before.h5", 1));
+  ASSERT_EQ(a->Stats().events_reported, 1u);
+  // Replace the rule with one watched by b: a must drop its filter.
+  ASSERT_TRUE(cloud.RegisterRule(EmailRule("moving", "b")).ok());
+  a->DeliverEvent(CreateEvent("/after.h5", 2));
+  EXPECT_EQ(a->Stats().events_reported, 1u) << "old watch agent still reports";
+  EXPECT_TRUE(a->RuleFilterIds().empty());
+  b->DeliverEvent(CreateEvent("/after.h5", 2));
+  EXPECT_EQ(b->Stats().events_reported, 1u);
+  EXPECT_EQ(b->RuleFilterIds(), std::vector<std::string>{"moving"});
+}
+
+// Two control-plane threads register, re-home and remove the same rule
+// ids at once. After they quiesce, every agent's filter must hold exactly
+// the rules the cloud says it watches.
+TEST_F(CloudAgentTest, ConcurrentRuleMutationsKeepAgentFiltersInStep) {
+  CloudService cloud(authority_, FastCloud());
+  const std::vector<std::string> names = {"a", "b", "c"};
+  std::vector<std::unique_ptr<Agent>> agents;
+  for (const auto& name : names) agents.push_back(MakeAgent(cloud, name));
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(17 + t);
+      for (int op = 0; op < 2000; ++op) {
+        const std::string id = "r" + std::to_string(rng.NextBelow(6));
+        if (rng.NextBool(0.3)) {
+          (void)cloud.RemoveRule(id);  // may race to NotFound
+        } else {
+          ASSERT_TRUE(
+              cloud.RegisterRule(EmailRule(id, names[rng.NextBelow(names.size())])).ok());
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t i = 0; i < names.size(); ++i) {
+    std::vector<std::string> expect;
+    for (const Rule& rule : cloud.RulesForWatchAgent(names[i])) expect.push_back(rule.id);
+    std::sort(expect.begin(), expect.end());
+    EXPECT_EQ(agents[i]->RuleFilterIds(), expect) << "agent " << names[i];
+  }
 }
 
 }  // namespace
