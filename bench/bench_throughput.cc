@@ -157,7 +157,7 @@ constexpr VirtualDuration kDecodeBoundIngestLatency = Micros(35);
 // drained by its own collector running batched resolution with a 4-worker
 // resolver pool — fast enough that a 35us/event serial ingest becomes the
 // bottleneck at >1 collector). `ingest_workers` sizes the aggregator's
-// decode pool; the sequencer, striped store and group-commit WAL run
+// decode pool; the sequencer, batch-log store and group-commit WAL run
 // behind it. `shards` > 1 federates the aggregator into a fleet
 // (collectors route by mdt % shards); `ingest_window` overrides the
 // reorder-buffer auto sizing (0 = auto); `ingest_latency`, when set,
@@ -185,7 +185,6 @@ double FanInDrainRate(size_t collectors, size_t ingest_workers, size_t shards = 
   config.collector.resolver_workers = 4;
   config.collector.poll_interval = Millis(20);
   config.aggregator.ingest_workers = ingest_workers;
-  config.aggregator.store_shards = 4;
   config.aggregator.wal_group_max = 16;
   config.aggregator.ingest_window = ingest_window;
   config.aggregator_shards = shards;

@@ -75,13 +75,16 @@ else
   # hostile-payload and bit-flip properties must actually have run under
   # ASan+UBSan (out-of-bounds reads in the cast-in-place v4 path are
   # exactly what this build exists to catch). The rule index's delta
-  # property test frees shared trie nodes on every step.
+  # property test frees shared trie nodes on every step. The event store
+  # keeps views that alias payload bytes, and its pages must outlive the
+  # rotation that frees their source batches.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RoundTripsEveryFieldExactly \
                    V4RejectsTruncationAtEveryCut \
                    V4MutatedPayloadsNeverCrashAndStayStructurallySound \
                    WireV4.BindRejectsStructuralCorruption \
-                   DeltasMatchFromScratchBuildsAndOldSnapshotsPersist; do
+                   DeltasMatchFromScratchBuildsAndOldSnapshotsPersist \
+                   EventStore.PagesOutliveRotation; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -97,7 +100,8 @@ else
   # subscriber threads; the registry test reads a callback on one thread
   # while another calls back into the registry. The rule-index delta race
   # frees snapshots under live readers; the cloud/agent interleaving
-  # pushes filter changes from two control-plane threads.
+  # pushes filter changes from two control-plane threads. The event-store
+  # snapshot test pages against a rotating writer.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -117,7 +121,8 @@ else
                    ConcurrentRuleMutationsKeepAgentFiltersInStep \
                    FairDrainInterleavesTenantsUnderConcurrency \
                    PublishesEachSequencedBatchAsOneMessage \
-                   MetricsRegistry.CallbacksRunOutsideTheRegistryLock; do
+                   MetricsRegistry.CallbacksRunOutsideTheRegistryLock \
+                   EventStore.QueryFirstAvailableAndPageShareOneSnapshot; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

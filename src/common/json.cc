@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/strings.h"
 
@@ -233,6 +234,12 @@ double Value::AsNumber() const noexcept {
 
 int64_t Value::AsInt() const noexcept {
   assert(is_number());
+  // Saturating: a plain cast of NaN or of a value outside int64_t's range
+  // is undefined behaviour. NaN reads as 0; the rest clamp to the ends.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (std::isnan(number_)) return 0;
+  if (number_ >= kTwoTo63) return std::numeric_limits<int64_t>::max();
+  if (number_ < -kTwoTo63) return std::numeric_limits<int64_t>::min();
   return static_cast<int64_t>(number_);
 }
 

@@ -51,7 +51,7 @@ class Value {
   // Typed accessors; preconditions checked with assert in debug builds.
   [[nodiscard]] bool AsBool() const noexcept;
   [[nodiscard]] double AsNumber() const noexcept;
-  [[nodiscard]] int64_t AsInt() const noexcept;
+  [[nodiscard]] int64_t AsInt() const noexcept;  // saturating; NaN reads as 0
   [[nodiscard]] const std::string& AsString() const noexcept;
   [[nodiscard]] const Array& AsArray() const noexcept;
   [[nodiscard]] Array& AsArray() noexcept;

@@ -7,21 +7,6 @@
 
 namespace sdci::monitor {
 
-void AggregatorCheckpoint::AdvanceWatermark(uint64_t next_seq) {
-  // Watermarks only ever advance; release pairs with NextSeq's acquire so a
-  // restarted incarnation reading the watermark also sees the WAL append.
-  uint64_t seen = next_seq_.load(std::memory_order_relaxed);
-  while (seen < next_seq &&
-         !next_seq_.compare_exchange_weak(seen, next_seq, std::memory_order_release,
-                                          std::memory_order_relaxed)) {
-  }
-}
-
-void AggregatorCheckpoint::Append(const EventBatch& batch, uint64_t next_seq) {
-  wal_.Append(batch);
-  AdvanceWatermark(next_seq);
-}
-
 void AggregatorCheckpoint::Append(const std::vector<EventBatch>& group,
                                   uint64_t next_seq) {
   wal_.AppendGroup(group);
@@ -29,7 +14,13 @@ void AggregatorCheckpoint::Append(const std::vector<EventBatch>& group,
   // between the two lines replays every batch of the group (sequences
   // below the watermark are never lost, and a watermark past a sequence
   // implies its batch is durable — no half-committed group is observable).
-  AdvanceWatermark(next_seq);
+  // It only ever advances; release pairs with NextSeq's acquire so a
+  // restarted incarnation reading the watermark also sees the WAL append.
+  uint64_t seen = next_seq_.load(std::memory_order_relaxed);
+  while (seen < next_seq &&
+         !next_seq_.compare_exchange_weak(seen, next_seq, std::memory_order_release,
+                                          std::memory_order_relaxed)) {
+  }
 }
 
 Aggregator::Aggregator(const lustre::TestbedProfile& profile,
@@ -69,8 +60,7 @@ Aggregator::Aggregator(const lustre::TestbedProfile& profile,
                                             crashed_);
   serve_ = std::make_unique<ServePlane>(
       *authority_, context, config_, *catalog_,
-      ServePlane::Instruments{published_, batches_published_, delivery_latency_,
-                              decode_errors_},
+      ServePlane::Instruments{published_, batches_published_, delivery_latency_},
       config_.tracer, crashed_);
   ingest_ = std::make_unique<IngestPipeline>(
       profile_, *authority_, context, config_, attachments, *catalog_, *serve_,
@@ -110,21 +100,13 @@ Aggregator::Aggregator(const lustre::TestbedProfile& profile,
         if (alive.expired()) return std::nullopt;
         return static_cast<int64_t>(ingest_->ReorderOccupancy());
       });
-  for (size_t i = 0; i < catalog_->store().shards(); ++i) {
-    // Lock stripes of the store. Historically labelled {"shard"}; in a
-    // fleet that label names the aggregator shard, so the stripe moves to
-    // {"stripe"} to keep the two axes distinct (single-aggregator series
-    // are unchanged).
-    MetricLabels stripe_labels = labels;
-    stripe_labels.emplace_back(config_.shard_count <= 1 ? "shard" : "stripe",
-                               std::to_string(i));
-    metrics_->RegisterCallback(
-        "sdci_aggregator_store_shard_events", stripe_labels,
-        [alive, this, i]() -> std::optional<int64_t> {
-          if (alive.expired()) return std::nullopt;
-          return static_cast<int64_t>(catalog_->store().ShardSize(i));
-        });
-  }
+  // Events in this shard's catalog window.
+  metrics_->RegisterCallback(
+      "sdci_aggregator_store_shard_events", labels,
+      [alive, this]() -> std::optional<int64_t> {
+        if (alive.expired()) return std::nullopt;
+        return static_cast<int64_t>(catalog_->store().Size());
+      });
 }
 
 Aggregator::~Aggregator() {
@@ -183,8 +165,8 @@ void Aggregator::Crash() {
 }
 
 AggregatorStats Aggregator::Stats() const {
-  // Every field reads an atomic (registry counters, the store's append
-  // counter, the checkpoint's WAL totals) or a value written once at
+  // Every field reads an atomic (registry counters), a value read under
+  // the store's or the WAL's lock, or a value written once at
   // construction (restored_events), so a snapshot taken while the
   // parallel ingest path is mutating them is stale at worst, never torn.
   AggregatorStats stats;

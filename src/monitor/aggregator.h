@@ -13,9 +13,9 @@
 //     (common/hlc.h), group-commits to the checkpoint WAL, and hands
 //     batches to the other two roles.
 //   EventCatalog (event_catalog.h)
-//     The striped rotating EventStore, the checkpoint WAL write-ahead
-//     commit, and the store thread. Restores itself from the checkpoint
-//     at birth.
+//     The rotating EventStore (a log of the sequenced batches), the
+//     checkpoint WAL write-ahead commit, and the store thread. Restores
+//     itself from the checkpoint at birth.
 //   ServePlane (serve_plane.h)
 //     The live PUB fan-out (publish thread) and the history/range
 //     REQ/REP API (api thread).
@@ -76,9 +76,6 @@ struct AggregatorConfig {
   // study (EXPERIMENTS.md): a 4-worker pool behind a 16-deep window
   // starves under multi-collector fan-in.
   size_t ingest_window = 0;
-  // Lock stripes in the EventStore (see EventStore). 1 == the historical
-  // single-lock store with exact rotation boundaries.
-  size_t store_shards = 1;
   // Max consecutive ready batches the sequencer folds into one checkpoint
   // WAL commit. Group commit is opportunistic — a lone ready batch
   // commits immediately; the group only grows with what is already
@@ -159,32 +156,34 @@ struct AggregatorStats {
 // watermark (sequence numbers stay monotone, never reused) and rebuilds
 // its EventStore by replaying the WAL (the history API keeps answering
 // for pre-crash events).
+//
+// The WAL is an EventStore: it holds the same sequenced batches as the
+// catalog (a reference each, no copy) and rotates them by the same rule,
+// so at the catalog's capacity a store restored from it answers the same
+// queries the lost one would have.
 class AggregatorCheckpoint {
  public:
   explicit AggregatorCheckpoint(size_t wal_capacity) : wal_(wal_capacity) {}
 
-  // WAL append; `next_seq` is the watermark after this batch (one past its
-  // last assigned sequence).
-  void Append(const EventBatch& batch, uint64_t next_seq);
-
   // Group commit: the whole group becomes durable under one WAL lock
-  // acquisition, and the watermark advances only after every batch in the
-  // group is appended — a crash (or a restore racing the commit) can see
-  // the pre-group or post-group state, never half a group.
+  // acquisition, and the watermark `next_seq` (one past the group's last
+  // assigned sequence) advances only after every batch in the group is
+  // appended — a crash (or a restore racing the commit) can see the
+  // pre-group or post-group state, never half a group.
   void Append(const std::vector<EventBatch>& group, uint64_t next_seq);
 
   [[nodiscard]] uint64_t NextSeq() const noexcept {
     return next_seq_.load(std::memory_order_acquire);
   }
+  // The retained batches, oldest first (replay them in order to rebuild
+  // the catalog).
   [[nodiscard]] std::vector<EventBatch> WalSnapshot() const { return wal_.Snapshot(); }
   [[nodiscard]] uint64_t TotalAppended() const { return wal_.TotalAppended(); }
-  [[nodiscard]] size_t EventCount() const { return wal_.EventCount(); }
+  [[nodiscard]] size_t EventCount() const { return wal_.Size(); }
   [[nodiscard]] uint64_t Commits() const { return wal_.Commits(); }
 
  private:
-  void AdvanceWatermark(uint64_t next_seq);
-
-  EventWal wal_;
+  EventStore wal_;
   std::atomic<uint64_t> next_seq_{1};
 };
 
@@ -283,9 +282,5 @@ class Aggregator {
   std::atomic<bool> running_{false};
   std::atomic<bool> crashed_{false};
 };
-
-// The issue-6 vocabulary: a fleet member is a shard, and a shard is the
-// (IngestPipeline, EventCatalog, ServePlane) composition above.
-using AggregatorShard = Aggregator;
 
 }  // namespace sdci::monitor

@@ -87,8 +87,8 @@ size_t CentralizedCollector::DrainMds(size_t mdt) {
     events.push_back(std::move(event));
   }
   processed_.fetch_add(events.size(), std::memory_order_relaxed);
-  // One lock acquisition per ChangeLog read batch, not per event.
-  store_.AppendBatch(std::move(events));
+  // One store entry per ChangeLog read batch, not one per event.
+  store_.Append(EventBatch(std::move(events)));
   if (config_.purge) {
     budget_.Charge(profile_.changelog_clear_latency);
     (void)changelog.Clear(consumer_ids_[mdt], records.back().index);

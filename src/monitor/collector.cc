@@ -374,9 +374,7 @@ void Collector::PublishChunk(ResolveChunk& chunk, const std::stop_token& stop) {
     // The local store sees events here — on the publisher, in ticket
     // order — so its append order matches ChangeLog order (QueryTimeRange
     // relies on timestamp-monotone appends).
-    if (local_store_ != nullptr) {
-      for (const FsEvent& event : chunk.events) local_store_->Append(event);
-    }
+    if (local_store_ != nullptr) local_store_->Append(EventBatch(chunk.events));
     const VirtualDuration charged_before = publish_budget_.TotalCharged();
     std::vector<FsEvent> pending = std::move(chunk.events);
     VirtualDuration backoff = config_.retry_backoff_min;
@@ -508,9 +506,7 @@ Collector::PassResult Collector::ProcessPass(std::vector<lustre::ChangeLogRecord
   if (wm_extract_ != nullptr && !events.empty()) {
     wm_extract_->Advance(events.back().time);
   }
-  if (local_store_ != nullptr) {
-    for (const FsEvent& event : events) local_store_->Append(event);
-  }
+  if (local_store_ != nullptr) local_store_->Append(EventBatch(events));
 
   // Aggregation hand-off. A failed hand-off (no aggregator accepting on
   // the endpoint) must not lose events: the undelivered tail is held —

@@ -30,6 +30,10 @@
 
 namespace sdci::monitor {
 
+namespace wire {
+class EventBatchView;
+}  // namespace wire
+
 struct FsEvent {
   // Provenance.
   int mdt_index = 0;            // MDT whose ChangeLog produced the event
@@ -111,8 +115,8 @@ class EventBatch {
   // zero-event batches (a wire message carries >= 1 event). Validation is
   // an in-place scan and NO events are materialized: size() is answered
   // from the flat layout, and the owning FsEvents exist only once
-  // a consumer first calls events() (the store/catalog boundary, the
-  // history API).
+  // a consumer first calls events(). The store keeps the bytes and
+  // materializes only the pages its history API returns.
   static Result<EventBatch> FromPayload(std::shared_ptr<const std::string> payload);
   static Result<EventBatch> FromPayload(std::string payload);
 
@@ -133,25 +137,18 @@ class EventBatch {
   // over these bytes and read paths as string_views in place.
   [[nodiscard]] std::shared_ptr<const std::string> FlatPayloadV4() const noexcept;
 
-  [[nodiscard]] size_t ApproxBytes() const noexcept;
+  // The view over payload(), bound once: by FromPayload's validation, or
+  // at encode for an encode-side batch (encoding it first if needed).
+  // Never re-validates and never materializes.
+  [[nodiscard]] const wire::EventBatchView& view() const;
 
  private:
-  struct Rep {
-    // Exactly one of {events, payload} is the authoritative side at
-    // construction; the other is derived lazily, at most once, via its
-    // once_flag. `count` is snapshotted up front so size() never forces
-    // a materialization.
-    mutable std::vector<FsEvent> events;
-    mutable std::shared_ptr<const std::string> payload;
-    mutable std::once_flag encode_once;
-    mutable std::once_flag decode_once;
-    // True once `events` is populated (acquire pairs with the call_once
-    // publisher, so readers skip the once_flag on the fast path).
-    mutable std::atomic<bool> has_events{false};
-    size_t count = 0;
-  };
+  friend class EventStore;  // rebuilds batches from the bytes it retains
+  struct Rep;  // event.cc
 
-  explicit EventBatch(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
+  // A decode-side batch over `payload`, whose view the caller bound
+  // before (no second validation pass).
+  EventBatch(std::shared_ptr<const std::string> payload, const wire::EventBatchView& view);
 
   std::shared_ptr<const Rep> rep_;
 };

@@ -1,5 +1,7 @@
 #include "monitor/event_catalog.h"
 
+#include "monitor/wire_v4.h"
+
 namespace sdci::monitor {
 
 namespace {
@@ -15,7 +17,7 @@ EventCatalog::EventCatalog(const TimeAuthority& authority,
                            const std::atomic<bool>& crashed)
     : authority_(&authority),
       checkpoint_(checkpoint),
-      store_(config.store_capacity, config.store_shards),
+      store_(config.store_capacity),
       queue_(config.internal_queue),
       tracer_(std::move(tracer)),
       crashed_(&crashed) {
@@ -88,14 +90,16 @@ void EventCatalog::StoreLoop() {
           tracer_ != nullptr ? authority_->Now() : VirtualTime{};
       store_.Append(batch);
       if (stored_ != nullptr) stored_->Add(batch.size());
-      if (wm_store_ != nullptr && !batch.events().empty()) {
-        wm_store_->Advance(batch.events().back().time);
-      }
+      // Watermark and trace fields come from the bound view: materializing
+      // the batch here would pin an FsEvent copy of every stored batch.
+      const wire::EventBatchView& view = batch.view();
+      const size_t count = view.size();
+      if (wm_store_ != nullptr && count > 0) wm_store_->Advance(view.time(count - 1));
       if (tracer_ != nullptr) {
         const VirtualTime store_end = authority_->Now();
-        for (const FsEvent& event : batch.events()) {
-          if (event.trace_id == 0) continue;
-          tracer_->Record(event.trace_id, event.parent_span, trace::kStoreAppend,
+        for (size_t i = 0; i < count; ++i) {
+          if (view.trace_id(i) == 0) continue;
+          tracer_->Record(view.trace_id(i), view.parent_span(i), trace::kStoreAppend,
                           "aggregator", store_start, store_end);
         }
       }

@@ -1,8 +1,11 @@
 // EventCatalog: the storage role of an aggregator shard.
 //
-// Owns the shard's rotating striped EventStore, the write-ahead commit
-// into the (supervisor-owned) AggregatorCheckpoint, and the store thread
-// that applies committed batches to the store. At construction the
+// Owns the shard's rotating EventStore, the write-ahead commit into the
+// (supervisor-owned) AggregatorCheckpoint, and the store thread that
+// applies committed batches to the store. Store and WAL are the same
+// kind of log and share each sequenced batch's payload bytes; neither
+// materializes an FsEvent (the store thread reads watermark times and
+// trace fields through the batch's bound view). At construction the
 // catalog restores itself from the checkpoint: the store replays the WAL
 // so the history API keeps answering for pre-crash events.
 //

@@ -1,275 +1,219 @@
 #include "monitor/event_store.h"
 
 #include <algorithm>
+#include <ranges>
 
 namespace sdci::monitor {
 
-EventStore::EventStore(size_t max_events, size_t shards)
-    : max_events_(max_events == 0 ? 1 : max_events),
-      per_shard_capacity_(std::max<size_t>(
-          1, max_events_ / (shards == 0 ? 1 : shards))) {
-  const size_t count = shards == 0 ? 1 : shards;
-  shards_.reserve(count);
-  for (size_t i = 0; i < count; ++i) shards_.push_back(std::make_unique<Shard>());
+namespace {
+
+// First index in [begin, view.size()) at which `below` turns false;
+// `below` must be true on a prefix of that range and false after it.
+template <typename Below>
+size_t PartitionIndex(const wire::EventBatchView& view, size_t begin, Below below) {
+  const auto range = std::views::iota(begin, view.size());
+  return begin + static_cast<size_t>(std::ranges::partition_point(range, below) -
+                                     range.begin());
 }
 
-void EventStore::NoteAppendTime(Shard& shard, VirtualTime t) {
-  if (shard.time_monotone && t < shard.last_time) shard.time_monotone = false;
-  shard.last_time = t;
+}  // namespace
+
+EventStore::EventStore(size_t max_events)
+    : max_events_(max_events == 0 ? 1 : max_events) {}
+
+EventStore::Entry EventStore::EntryOf(const EventBatch& batch) {
+  return {batch.payload(), batch.view()};
 }
 
-void EventStore::RaiseFloor(uint64_t evicted_seq) {
-  // Only multi-shard stores need the floor (see the member comment);
-  // single-shard eviction is contiguous, and local stores whose events all
-  // carry global_seq 0 would otherwise filter themselves out.
-  if (shards_.size() == 1) return;
-  const uint64_t candidate = evicted_seq + 1;
-  uint64_t seen = floor_seq_.load(std::memory_order_relaxed);
-  while (seen < candidate &&
-         !floor_seq_.compare_exchange_weak(seen, candidate, std::memory_order_release,
-                                           std::memory_order_relaxed)) {
+int64_t EventStore::AppendLocked(Entry entry) {
+  int64_t bytes = static_cast<int64_t>(Bytes(entry));
+  event_count_ += entry.view.size();
+  total_appended_ += entry.view.size();
+  entries_.push_back(std::move(entry));
+  // Rotate whole batches, always retaining at least max_events_: the
+  // window's oldest events may sit mid-way into the front batch.
+  while (entries_.size() > 1 &&
+         event_count_ - entries_.front().view.size() >= max_events_) {
+    bytes -= static_cast<int64_t>(Bytes(entries_.front()));
+    event_count_ -= entries_.front().view.size();
+    entries_.pop_front();
+    if (time_checked_ > 0) --time_checked_;
   }
+  return bytes;
 }
 
-void EventStore::AppendToShard(size_t index, const FsEvent* events, size_t count) {
-  Shard& shard = *shards_[index];
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  for (size_t i = 0; i < count; ++i) {
-    const FsEvent& event = events[i];
-    memory_.Charge(event.ApproxBytes());
-    if (shard.events.empty() || event.global_seq >= shard.events.back().global_seq) {
-      NoteAppendTime(shard, event.time);
-      shard.events.push_back(event);
-    } else {
-      // Concurrent appenders can deliver a lower stripe after a higher one
-      // landed; keep the shard seq-sorted so per-shard binary search and
-      // the cross-shard merge stay correct. The shard's time index cannot
-      // vouch for sorted-by-time anymore, so it drops to linear scans.
-      const auto pos = std::upper_bound(
-          shard.events.begin(), shard.events.end(), event.global_seq,
-          [](uint64_t seq, const FsEvent& e) { return seq < e.global_seq; });
-      shard.events.insert(pos, event);
-      shard.time_monotone = false;
-    }
+void EventStore::CommitLocked(int64_t bytes) {
+  ++commits_;
+  if (bytes >= 0) {
+    memory_.Charge(static_cast<uint64_t>(bytes));
+  } else {
+    memory_.Release(static_cast<uint64_t>(-bytes));
   }
-  total_appended_.fetch_add(count, std::memory_order_relaxed);
-  while (shard.events.size() > per_shard_capacity_) {
-    memory_.Release(shard.events.front().ApproxBytes());
-    RaiseFloor(shard.events.front().global_seq);
-    shard.events.pop_front();
-  }
-}
-
-void EventStore::Append(FsEvent event) {
-  AppendToShard(ShardIndexFor(event.global_seq), &event, 1);
 }
 
 void EventStore::Append(const EventBatch& batch) {
-  const auto& events = batch.events();
-  // Sequences in a batch are contiguous, so consecutive events share a
-  // stripe: append run-by-run, one lock per stripe the batch spans.
-  size_t i = 0;
-  while (i < events.size()) {
-    const size_t shard = ShardIndexFor(events[i].global_seq);
-    size_t j = i + 1;
-    while (j < events.size() && ShardIndexFor(events[j].global_seq) == shard) ++j;
-    AppendToShard(shard, events.data() + i, j - i);
-    i = j;
-  }
+  if (batch.empty()) return;
+  Entry entry = EntryOf(batch);  // encodes an encode-side batch, unlocked
+  const std::lock_guard<std::mutex> lock(mutex_);
+  CommitLocked(AppendLocked(std::move(entry)));
 }
 
-void EventStore::AppendBatch(std::vector<FsEvent> events) {
-  size_t i = 0;
-  while (i < events.size()) {
-    const size_t shard = ShardIndexFor(events[i].global_seq);
-    size_t j = i + 1;
-    while (j < events.size() && ShardIndexFor(events[j].global_seq) == shard) ++j;
-    AppendToShard(shard, events.data() + i, j - i);
-    i = j;
+void EventStore::AppendGroup(const std::vector<EventBatch>& batches) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  bool appended = false;
+  int64_t bytes = 0;
+  for (const EventBatch& batch : batches) {
+    if (batch.empty()) continue;
+    bytes += AppendLocked(EntryOf(batch));
+    appended = true;
   }
+  if (appended) CommitLocked(bytes);
 }
 
-void EventStore::CollectSeqRange(const Shard& shard, uint64_t from_seq,
-                                 uint64_t floor, size_t max,
-                                 std::vector<FsEvent>& out) const {
-  const uint64_t from = std::max(from_seq, floor);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  // Shard deques are seq-sorted: binary search for the first match.
-  const auto begin = std::lower_bound(
-      shard.events.begin(), shard.events.end(), from,
-      [](const FsEvent& e, uint64_t seq) { return e.global_seq < seq; });
-  for (auto it = begin; it != shard.events.end() && out.size() < max; ++it) {
-    out.push_back(*it);
-  }
+size_t EventStore::HiddenLocked() const noexcept {
+  // Rotation keeps event_count_ - front size < max_events_ (or a single
+  // entry), so every hidden event lies in the front entry.
+  return event_count_ > max_events_ ? event_count_ - max_events_ : 0;
 }
 
-void EventStore::CollectTimeRange(const Shard& shard, VirtualTime from,
-                                  VirtualTime to, uint64_t floor, size_t max,
-                                  std::vector<FsEvent>& out) const {
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.time_monotone) {
-    // Appends have stayed time-sorted, so the range start is a binary
-    // search and the scan stops at the first event past `to`.
-    const auto begin = std::lower_bound(
-        shard.events.begin(), shard.events.end(), from,
-        [](const FsEvent& e, VirtualTime t) { return e.time < t; });
-    for (auto it = begin; it != shard.events.end() && it->time < to; ++it) {
-      if (out.size() >= max) break;
-      if (it->global_seq < floor) continue;
-      out.push_back(*it);
+uint64_t EventStore::FirstSeqLocked() const noexcept {
+  return entries_.empty() ? 0 : entries_.front().view.global_seq(HiddenLocked());
+}
+
+void EventStore::CheckTimeOrderLocked() const {
+  for (; time_monotone_ && time_checked_ < entries_.size(); ++time_checked_) {
+    const wire::EventBatchView& view = entries_[time_checked_].view;
+    VirtualTime prev = view.time(0);
+    if (time_checked_ > 0) {
+      const wire::EventBatchView& before = entries_[time_checked_ - 1].view;
+      prev = before.time(before.size() - 1);
     }
-    return;
-  }
-  for (const FsEvent& event : shard.events) {
-    if (out.size() >= max) break;
-    if (event.global_seq < floor) continue;
-    if (event.time >= from && event.time < to) out.push_back(event);
-  }
-}
-
-std::vector<FsEvent> EventStore::MergeBySeq(std::vector<std::vector<FsEvent>> runs,
-                                            size_t max) {
-  if (runs.size() == 1) {
-    if (runs[0].size() > max) runs[0].resize(max);
-    return std::move(runs[0]);
-  }
-  std::vector<FsEvent> out;
-  std::vector<size_t> cursor(runs.size(), 0);
-  while (out.size() < max) {
-    size_t best = runs.size();
-    for (size_t r = 0; r < runs.size(); ++r) {
-      if (cursor[r] >= runs[r].size()) continue;
-      if (best == runs.size() ||
-          runs[r][cursor[r]].global_seq < runs[best][cursor[best]].global_seq) {
-        best = r;
+    for (size_t i = 0; i < view.size(); ++i) {
+      if (view.time(i) < prev) {
+        time_monotone_ = false;
+        break;
       }
+      prev = view.time(i);
     }
-    if (best == runs.size()) break;
-    out.push_back(std::move(runs[best][cursor[best]]));
-    ++cursor[best];
+  }
+}
+
+std::vector<FsEvent> EventStore::Materialize(const std::vector<Slice>& slices) {
+  size_t total = 0;
+  for (const Slice& slice : slices) total += slice.end - slice.begin;
+  std::vector<FsEvent> out;
+  out.reserve(total);
+  for (const Slice& slice : slices) {
+    for (size_t i = slice.begin; i < slice.end; ++i) {
+      out.push_back(slice.entry.view[i].Materialize());
+    }
   }
   return out;
 }
 
-uint64_t EventStore::FirstAvailableSeq() const {
-  const uint64_t floor = Floor();
-  uint64_t first = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = std::lower_bound(
-        shard.events.begin(), shard.events.end(), floor,
-        [](const FsEvent& e, uint64_t seq) { return e.global_seq < seq; });
-    if (it == shard.events.end()) continue;
-    if (first == 0 || it->global_seq < first) first = it->global_seq;
-  }
-  return first;
-}
-
 std::vector<FsEvent> EventStore::Query(uint64_t from_seq, size_t max,
                                        uint64_t* first_available) const {
-  if (first_available != nullptr) *first_available = FirstAvailableSeq();
-  const uint64_t floor = Floor();
-  std::vector<std::vector<FsEvent>> runs;
-  runs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::vector<FsEvent> run;
-    CollectSeqRange(*shard, from_seq, floor, max, run);
-    runs.push_back(std::move(run));
+  std::vector<Slice> slices;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (first_available != nullptr) *first_available = FirstSeqLocked();
+    // The first entry whose newest sequence reaches from_seq; every later
+    // entry matches whole.
+    auto it = std::partition_point(entries_.begin(), entries_.end(), [&](const Entry& e) {
+      return e.view.global_seq(e.view.size() - 1) < from_seq;
+    });
+    size_t taken = 0;
+    for (; it != entries_.end() && taken < max; ++it) {
+      const wire::EventBatchView& view = it->view;
+      const size_t begin =
+          PartitionIndex(view, it == entries_.begin() ? HiddenLocked() : 0,
+                         [&](size_t i) { return view.global_seq(i) < from_seq; });
+      const size_t end = std::min(view.size(), begin + (max - taken));
+      slices.push_back({*it, begin, end});
+      taken += end - begin;
+    }
   }
-  return MergeBySeq(std::move(runs), max);
+  return Materialize(slices);
 }
 
 std::vector<FsEvent> EventStore::QueryTimeRange(VirtualTime from, VirtualTime to,
                                                 size_t max) const {
-  const uint64_t floor = Floor();
-  std::vector<std::vector<FsEvent>> runs;
-  runs.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::vector<FsEvent> run;
-    CollectTimeRange(*shard, from, to, floor, max, run);
-    runs.push_back(std::move(run));
+  std::vector<Slice> slices;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    CheckTimeOrderLocked();
+    const size_t hidden = HiddenLocked();
+    size_t taken = 0;
+    if (time_monotone_) {
+      // Appends have stayed time-sorted: binary search for the range start
+      // (first the entry, then within it), and stop at the first event
+      // past `to`.
+      auto it = std::partition_point(entries_.begin(), entries_.end(), [&](const Entry& e) {
+        return e.view.time(e.view.size() - 1) < from;
+      });
+      for (; it != entries_.end() && taken < max; ++it) {
+        const wire::EventBatchView& view = it->view;
+        const size_t begin =
+            PartitionIndex(view, it == entries_.begin() ? hidden : 0,
+                           [&](size_t i) { return view.time(i) < from; });
+        const size_t end =
+            PartitionIndex(view, begin, [&](size_t i) { return view.time(i) < to; });
+        const size_t take = std::min(end, begin + (max - taken));
+        if (take > begin) slices.push_back({*it, begin, take});
+        taken += take - begin;
+        if (end < view.size()) break;  // reached `to`
+      }
+    } else {
+      for (auto it = entries_.begin(); it != entries_.end() && taken < max; ++it) {
+        const wire::EventBatchView& view = it->view;
+        for (size_t i = it == entries_.begin() ? hidden : 0;
+             i < view.size() && taken < max; ++i) {
+          if (view.time(i) < from || view.time(i) >= to) continue;
+          if (!slices.empty() && slices.back().entry.payload == it->payload &&
+              slices.back().end == i) {
+            ++slices.back().end;
+          } else {
+            slices.push_back({*it, i, i + 1});
+          }
+          ++taken;
+        }
+      }
+    }
   }
-  return MergeBySeq(std::move(runs), max);
+  return Materialize(slices);
 }
 
-uint64_t EventStore::FirstSeq() const { return FirstAvailableSeq(); }
+std::vector<EventBatch> EventStore::Snapshot() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<EventBatch> out;
+  out.reserve(entries_.size());
+  for (const Entry& entry : entries_) out.push_back(EventBatch(entry.payload, entry.view));
+  return out;
+}
+
+uint64_t EventStore::FirstSeq() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return FirstSeqLocked();
+}
 
 uint64_t EventStore::LastSeq() const {
-  uint64_t last = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (!shard.events.empty()) last = std::max(last, shard.events.back().global_seq);
-  }
-  return last;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (entries_.empty()) return 0;
+  const wire::EventBatchView& view = entries_.back().view;
+  return view.global_seq(view.size() - 1);
 }
 
 size_t EventStore::Size() const {
-  size_t size = 0;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    size += shard.events.size();
-  }
-  return size;
-}
-
-size_t EventStore::ShardSize(size_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  const std::lock_guard<std::mutex> lock(shards_[shard]->mutex);
-  return shards_[shard]->events.size();
-}
-
-EventWal::EventWal(size_t max_events) : max_events_(max_events == 0 ? 1 : max_events) {}
-
-void EventWal::AppendLocked(const EventBatch& batch) {
-  event_count_ += batch.size();
-  total_appended_ += batch.size();
-  batches_.push_back(batch);
-  // Rotate whole batches, always retaining at least max_events_ (the
-  // window overshoots by up to one batch rather than undershooting, so a
-  // store rebuilt from the WAL covers everything the lost one retained).
-  while (batches_.size() > 1 && event_count_ - batches_.front().size() >= max_events_) {
-    event_count_ -= batches_.front().size();
-    batches_.pop_front();
-  }
-}
-
-void EventWal::Append(const EventBatch& batch) {
-  if (batch.empty()) return;
   const std::lock_guard<std::mutex> lock(mutex_);
-  AppendLocked(batch);
-  ++commits_;
+  return std::min(event_count_, max_events_);
 }
 
-void EventWal::AppendGroup(const std::vector<EventBatch>& batches) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  bool appended = false;
-  for (const EventBatch& batch : batches) {
-    if (batch.empty()) continue;
-    AppendLocked(batch);
-    appended = true;
-  }
-  if (appended) ++commits_;
-}
-
-std::vector<EventBatch> EventWal::Snapshot() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return {batches_.begin(), batches_.end()};
-}
-
-size_t EventWal::EventCount() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return event_count_;
-}
-
-uint64_t EventWal::TotalAppended() const {
+uint64_t EventStore::TotalAppended() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return total_appended_;
 }
 
-uint64_t EventWal::Commits() const {
+uint64_t EventStore::Commits() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return commits_;
 }

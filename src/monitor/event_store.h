@@ -1,4 +1,4 @@
-// Rotating event catalog kept by the Aggregator.
+// Rotating event catalog kept by the Aggregator, and its write-ahead log.
 //
 // "The monitor also maintains a rotating catalog of events and an API to
 // retrieve recent events in order to provide fault tolerance." Bounded by
@@ -6,161 +6,120 @@
 // sequence lets a consumer that crashed re-fetch everything it missed, as
 // long as it comes back before its gap rotates out.
 //
-// The store is lock-striped: events land in `shards` independent shards
-// keyed by contiguous global_seq stripes (kSeqStripe sequences per
-// stripe, round-robin across shards), each with its own mutex, deque and
-// time-monotonicity flag. Appends from the aggregator's parallel ingest
-// path therefore do not serialize against history-API reads that touch
-// other shards; cross-shard queries snapshot each shard (binary-search
-// fast path per shard) and k-way merge by global_seq. With the default
-// shards == 1 the behavior is exactly the historical single-lock store —
-// same rotation boundaries, same query results.
+// The store is a log of the sequenced v4 batches it is handed, under one
+// lock: each entry is a reference on the batch's payload bytes plus the
+// EventBatchView already bound over them, so an append copies no event
+// and re-validates nothing. A query copies the matching entries'
+// references under the lock and materializes only the returned page,
+// outside it; a page therefore stays valid however far rotation moves on
+// meanwhile. The same class is the aggregator's checkpoint WAL
+// (AggregatorCheckpoint): group append under one lock, a commit count and
+// a batch snapshot to replay on restore.
+//
+// Rotation drops whole batches from the front once the remaining batches
+// still cover max_events; queries see only the newest max_events events
+// (the rest of the front batch is hidden, not yet freed).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/resource.h"
 #include "monitor/event.h"
+#include "monitor/wire_v4.h"
 
 namespace sdci::monitor {
 
 class EventStore {
  public:
-  // `shards` == 0 is treated as 1. Capacity is split evenly across shards
-  // (each shard rotates independently at max_events / shards).
-  explicit EventStore(size_t max_events, size_t shards = 1);
+  // `max_events` == 0 is treated as 1.
+  explicit EventStore(size_t max_events);
 
-  void Append(FsEvent event);
-
-  // Batch appends: the batch's seq-contiguous runs map to consecutive
-  // stripes, so a batch takes one lock acquisition per stripe it spans
-  // (one total in the single-shard configuration). This is the
-  // aggregator's store path (and the centralized baseline's), so the store
-  // keeps up with batched ingest without per-event lock traffic.
+  // Appends one batch; an encode-side batch is encoded (once) first.
+  // Empty batches are ignored. Sequences must not decrease from one
+  // append to the next (the sequencer's order).
   void Append(const EventBatch& batch);
-  void AppendBatch(std::vector<FsEvent> events);
+
+  // Group commit: every batch in the group lands under one lock
+  // acquisition — concurrent readers and a crash-time snapshot see all of
+  // a group or none of it — and counts as one commit.
+  void AppendGroup(const std::vector<EventBatch>& batches);
 
   // Events with global_seq >= from_seq, oldest first, up to max. Events
   // older than the rotation window are gone; `first_available` (if given)
-  // reports the oldest retained sequence so callers can detect gaps.
+  // reports the oldest retained sequence so callers can detect gaps. The
+  // page and `first_available` come from the same snapshot.
   [[nodiscard]] std::vector<FsEvent> Query(uint64_t from_seq, size_t max,
                                            uint64_t* first_available = nullptr) const;
 
   // Events with time in [from, to), up to max, ordered by global_seq. The
   // store's appends are timestamp-monotone in practice (the collector
   // publishes in ChangeLog order; the aggregator assigns sequences in
-  // arrival order), which makes the range start a binary search per
-  // shard; a shard that ever observes an out-of-order append falls back
-  // to a linear scan permanently (the other shards keep their fast path).
+  // arrival order), which makes the range start a binary search; once the
+  // store observes an out-of-order time among its retained events it
+  // falls back to a linear scan permanently. Times are checked lazily, by
+  // the first range query after an append, so appends never scan events.
   [[nodiscard]] std::vector<FsEvent> QueryTimeRange(VirtualTime from, VirtualTime to,
                                                     size_t max) const;
 
+  // Every retained batch, oldest first, including the hidden part of the
+  // front batch: replaying them into a store of the same capacity
+  // rebuilds this one's window.
+  [[nodiscard]] std::vector<EventBatch> Snapshot() const;
+
   [[nodiscard]] uint64_t FirstSeq() const;  // 0 when empty
   [[nodiscard]] uint64_t LastSeq() const;   // 0 when empty
-  [[nodiscard]] size_t Size() const;
-  [[nodiscard]] uint64_t TotalAppended() const noexcept {
-    return total_appended_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] size_t Size() const;        // events in the window
+  [[nodiscard]] uint64_t TotalAppended() const;  // events, over all time
+  [[nodiscard]] uint64_t Commits() const;  // lock acquisitions that appended
   [[nodiscard]] size_t max_events() const noexcept { return max_events_; }
-  [[nodiscard]] size_t shards() const noexcept { return shards_.size(); }
-  // Retained events in one shard (scrape-time gauge fodder).
-  [[nodiscard]] size_t ShardSize(size_t shard) const;
 
+  // Charged per retained entry: the entry and its payload bytes.
   [[nodiscard]] const MemoryAccountant& memory() const noexcept { return memory_; }
 
  private:
-  // Sequences map to shards in contiguous stripes so one batch lands in
-  // few shards: shard = (seq / kSeqStripe) % shards.
-  static constexpr uint64_t kSeqStripe = 64;
-
-  struct Shard {
-    mutable std::mutex mutex;
-    std::deque<FsEvent> events;  // ordered by global_seq
-    bool time_monotone = true;
-    VirtualTime last_time{};
+  struct Entry {
+    std::shared_ptr<const std::string> payload;
+    wire::EventBatchView view;  // bound over *payload
+  };
+  // Events [begin, end) of one entry; holds the payload alive until the
+  // page is materialized.
+  struct Slice {
+    Entry entry;
+    size_t begin, end;
   };
 
-  [[nodiscard]] size_t ShardIndexFor(uint64_t seq) const noexcept {
-    return shards_.size() == 1
-               ? 0
-               : static_cast<size_t>((seq / kSeqStripe) % shards_.size());
+  [[nodiscard]] static Entry EntryOf(const EventBatch& batch);
+  [[nodiscard]] static uint64_t Bytes(const Entry& entry) noexcept {
+    return sizeof(Entry) + entry.payload->capacity();
   }
-
-  // Appends into one shard (caller groups events by shard); handles
-  // out-of-order insertion, rotation and the eviction floor.
-  void AppendToShard(size_t index, const FsEvent* events, size_t count);
-  void NoteAppendTime(Shard& shard, VirtualTime t);
-  // Raises floor_seq_ to `seq + 1` (monotone) when `seq` is evicted.
-  void RaiseFloor(uint64_t evicted_seq);
-  [[nodiscard]] uint64_t Floor() const noexcept {
-    return floor_seq_.load(std::memory_order_acquire);
-  }
-  // Oldest retained sequence at or above the eviction floor, 0 when empty.
-  [[nodiscard]] uint64_t FirstAvailableSeq() const;
-  // Per-shard collection of up to `max` matches, merged by the caller.
-  void CollectSeqRange(const Shard& shard, uint64_t from_seq, uint64_t floor,
-                       size_t max, std::vector<FsEvent>& out) const;
-  void CollectTimeRange(const Shard& shard, VirtualTime from, VirtualTime to,
-                        uint64_t floor, size_t max, std::vector<FsEvent>& out) const;
-  // k-way merge of per-shard seq-sorted runs, truncated to max.
-  [[nodiscard]] static std::vector<FsEvent> MergeBySeq(
-      std::vector<std::vector<FsEvent>> runs, size_t max);
-
-  const size_t max_events_;
-  const size_t per_shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> total_appended_{0};
-  // One past the highest sequence ever evicted, across all shards. With
-  // stripe-sharded rotation, shards can evict unevenly; queries filter
-  // everything below this floor so results never contain a mid-range hole
-  // (a gap a backfilling consumer would misread as permanently lost data
-  // ahead of first_available). Single-shard stores evict contiguously from
-  // the front and never need the floor (and local stores whose events all
-  // carry global_seq 0 must not be filtered by it), so it stays 0 there.
-  std::atomic<uint64_t> floor_seq_{0};
-  MemoryAccountant memory_;
-};
-
-// Rotating write-ahead log of event batches: the durable half of the
-// aggregator's catalog (see AggregatorCheckpoint). Appends share the batch
-// representation — a refcount bump, no event copies — and rotation drops
-// whole batches from the front once the retained event count exceeds the
-// capacity, mirroring the EventStore's rotation window so a store restored
-// from the WAL answers the same queries the lost one would have.
-class EventWal {
- public:
-  explicit EventWal(size_t max_events);
-
-  void Append(const EventBatch& batch);
-
-  // Group commit: every batch in the group becomes durable under one lock
-  // acquisition — concurrent sequencer groups amortize write-ahead cost,
-  // and a crash can never observe half of a group (the WAL either has all
-  // of a group's batches or none of them).
-  void AppendGroup(const std::vector<EventBatch>& batches);
-
-  // The retained batches, oldest first (replay them in order to rebuild
-  // the catalog).
-  [[nodiscard]] std::vector<EventBatch> Snapshot() const;
-
-  [[nodiscard]] size_t EventCount() const;
-  [[nodiscard]] uint64_t TotalAppended() const;  // events, over all time
-  [[nodiscard]] uint64_t Commits() const;        // lock acquisitions that appended
-
- private:
-  void AppendLocked(const EventBatch& batch);
+  // Appends a non-empty entry and rotates; returns the bytes retained
+  // minus the bytes freed.
+  int64_t AppendLocked(Entry entry);
+  // Counts one commit and books its bytes with the accountant.
+  void CommitLocked(int64_t bytes);
+  // Events at the head of the front entry that lie outside the window.
+  [[nodiscard]] size_t HiddenLocked() const noexcept;
+  [[nodiscard]] uint64_t FirstSeqLocked() const noexcept;
+  void CheckTimeOrderLocked() const;
+  [[nodiscard]] static std::vector<FsEvent> Materialize(const std::vector<Slice>& slices);
 
   const size_t max_events_;
   mutable std::mutex mutex_;
-  std::deque<EventBatch> batches_;
-  size_t event_count_ = 0;
+  std::deque<Entry> entries_;  // ordered by global_seq
+  size_t event_count_ = 0;     // events in entries_, hidden ones included
   uint64_t total_appended_ = 0;
   uint64_t commits_ = 0;
+  // Time order of the retained events: entries_[0, time_checked_) have
+  // been checked, and time_monotone_ turns false for good at the first
+  // regression.
+  mutable bool time_monotone_ = true;
+  mutable size_t time_checked_ = 0;
+  MemoryAccountant memory_;
 };
 
 }  // namespace sdci::monitor

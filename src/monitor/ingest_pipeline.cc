@@ -242,8 +242,8 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
     watermark = base + count;
     // Stamp-in-place: global_seq and the HLC stamp land at fixed offsets in
     // the flat buffer — no decode, no re-encode. The buffer then freezes as
-    // the batch's (and the publish message's) payload; the only per-field
-    // materialization left is at the store boundary.
+    // the batch's (and the publish message's and the store's) payload;
+    // only history pages are ever materialized.
     {
       wire::MutableBatchV4 mut(item.v4);
       for (uint64_t i = 0; i < count; ++i) {

@@ -80,35 +80,28 @@ void ServePlane::PublishLoop() {
         continue;
       }
       // payload() encodes the batch once; fan-out below shares those bytes
-      // across every subscriber queue.
+      // across every subscriber queue. Per-event bookkeeping (delivery
+      // latency, trace spans, watermark) reads through the view bound
+      // when the sequencer validated the batch, so publishing neither
+      // re-validates nor materializes owning FsEvents.
       const std::shared_ptr<const std::string> payload = batch.payload();
-      // Per-event bookkeeping (delivery latency, trace spans, watermark)
-      // reads through the flat view, so publishing never forces a
-      // lazily-validated batch to materialize owning FsEvents.
-      const auto view = wire::EventBatchView::Bind(*payload);
-      if (!view.ok()) {
-        // Unreachable by construction (every payload here was encoded or
-        // validated by this shard), but never publish a malformed buffer.
-        instruments_.decode_errors->Add();
-        if (discarded_ != nullptr) discarded_->Add(batch.size());
-        continue;
-      }
+      const wire::EventBatchView& view = batch.view();
       const VirtualTime now = authority_->Now();
-      const size_t count = view->size();
+      const size_t count = view.size();
       for (size_t i = 0; i < count; ++i) {
-        instruments_.delivery_latency->Record(now - view->time(i));
+        instruments_.delivery_latency->Record(now - view.time(i));
       }
       pub_->Publish(msgq::Message(std::string(kEventStreamTopic), payload));
       if (tracer_ != nullptr) {
         for (size_t i = 0; i < count; ++i) {
-          if (view->trace_id(i) == 0) continue;
-          tracer_->Record(view->trace_id(i), view->parent_span(i),
+          if (view.trace_id(i) == 0) continue;
+          tracer_->Record(view.trace_id(i), view.parent_span(i),
                           trace::kAggregatorPublish, "aggregator", now,
                           authority_->Now());
         }
       }
       if (wm_publish_ != nullptr && count > 0) {
-        wm_publish_->Advance(view->time(count - 1));
+        wm_publish_->Advance(view.time(count - 1));
       }
       instruments_.published->Add(batch.size());
       instruments_.batches_published->Add();
@@ -128,11 +121,14 @@ void ServePlane::ApiLoop(const std::stop_token& stop) {
 }
 
 void ServePlane::HandleApiRequest(msgq::Request& request) {
+  const auto reply_error = [&request](std::string message) {
+    json::Object err;
+    err["error"] = json::Value(std::move(message));
+    request.Reply(msgq::Message("api.error", json::Value(std::move(err)).Dump()));
+  };
   auto parsed = json::Parse(request.message.bytes());
   if (!parsed.ok()) {
-    json::Object err;
-    err["error"] = json::Value(parsed.status().ToString());
-    request.Reply(msgq::Message("api.error", json::Value(std::move(err)).Dump()));
+    reply_error(parsed.status().ToString());
     return;
   }
   const json::Value& query = *parsed;
@@ -152,18 +148,23 @@ void ServePlane::HandleApiRequest(msgq::Request& request) {
         msgq::Message("api.stats", json::Value(std::move(stats)).Dump()));
     return;
   }
-  const auto from_seq = static_cast<uint64_t>(query.GetInt("from_seq", 0));
-  const auto max = static_cast<size_t>(query.GetInt("max", 1024));
+  const int64_t from_seq = query.GetInt("from_seq", 0);
+  const int64_t max = query.GetInt("max", 1024);
+  if (from_seq < 0 || max < 0) {
+    reply_error("from_seq and max must not be negative");
+    return;
+  }
   const EventStore& store = catalog_->store();
   uint64_t first_available = 0;
   std::vector<FsEvent> events;
   if (query.Has("from_time_ns") || query.Has("to_time_ns")) {
     const VirtualTime from(query.GetInt("from_time_ns", 0));
     const VirtualTime to(query.GetInt("to_time_ns", INT64_MAX));
-    events = store.QueryTimeRange(from, to, max);
+    events = store.QueryTimeRange(from, to, static_cast<size_t>(max));
     first_available = store.FirstSeq();
   } else {
-    events = store.Query(from_seq, max, &first_available);
+    events = store.Query(static_cast<uint64_t>(from_seq), static_cast<size_t>(max),
+                         &first_available);
   }
   json::Object reply;
   reply["first_available"] = json::Value(first_available);

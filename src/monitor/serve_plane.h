@@ -33,7 +33,6 @@ class ServePlane {
     std::shared_ptr<Counter> published;
     std::shared_ptr<Counter> batches_published;
     std::shared_ptr<LatencyHistogram> delivery_latency;
-    std::shared_ptr<Counter> decode_errors;  // shared with the ingest side
   };
 
   ServePlane(const TimeAuthority& authority, msgq::Context& context,

@@ -9,10 +9,10 @@
 // append order, ahead of any fresh events, so the per-collector delivery
 // order and the PR 2 purge-after-accept contract hold end-to-end.
 //
-// Unlike EventWal (event_store.h), whose ring rotation drops the oldest
-// batches past capacity, the spool must never drop an undelivered event:
-// TryAppend fails when the batch does not fit, and the caller falls back
-// to blocking retry — backpressure, not loss.
+// Unlike the checkpoint WAL (an EventStore, event_store.h), whose rotation
+// drops the oldest batches past capacity, the spool must never drop an
+// undelivered event: TryAppend fails when the batch does not fit, and the
+// caller falls back to blocking retry — backpressure, not loss.
 #pragma once
 
 #include <deque>

@@ -142,6 +142,12 @@ Result<EventBatchView> EventBatchView::Bind(std::string_view payload) {
   return EventBatchView(base, header.count);
 }
 
+EventBatchView EventBatchView::OfEncoded(std::string_view payload) noexcept {
+  BatchHeaderV4 header;
+  std::memcpy(&header, payload.data(), kHeaderSize);
+  return EventBatchView(payload.data(), header.count);
+}
+
 EventView EventBatchView::operator[](size_t i) const noexcept {
   const char* heap = strings();
   const uint32_t o0 = offset(3 * i);

@@ -8,8 +8,7 @@
 // every field is an O(1) read through EventBatchView / EventView, with
 // paths as string_views aliasing the payload bytes (which msgq::Message
 // already refcounts). An owning FsEvent is materialized only where a
-// consumer genuinely needs one (the store/catalog boundary, the history
-// API's JSON).
+// consumer genuinely needs one (a history page, the history API's JSON).
 //
 //   offset 0                32                 32+104*count
 //   +--------------------+ +----------------+ +---------------+ +--------+
@@ -135,7 +134,7 @@ class EventView {
     return HlcStamp{rec_->hlc_wall_ns, rec_->hlc_logical, rec_->hlc_origin};
   }
 
-  // Owning copy, for the store/catalog boundary.
+  // Owning copy, for history pages and consumers.
   [[nodiscard]] FsEvent Materialize() const;
 
  private:
@@ -155,9 +154,14 @@ class EventView {
 // bytes — the caller keeps them alive (and, for readers, unchanged).
 class EventBatchView {
  public:
+  EventBatchView() noexcept = default;  // empty batch
+
   // Validates `payload` as a v4 batch. Fails with InvalidArgument on
   // anything malformed; never reads out of bounds on hostile input.
   static Result<EventBatchView> Bind(std::string_view payload);
+  // The view of bytes EncodeEventBatchV4 just produced: well-formed by
+  // construction, so no validation pass.
+  static EventBatchView OfEncoded(std::string_view payload) noexcept;
 
   [[nodiscard]] size_t size() const noexcept { return count_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -170,6 +174,9 @@ class EventBatchView {
   }
   [[nodiscard]] VirtualTime time(size_t i) const noexcept {
     return VirtualTime(record(i)->time_ns);
+  }
+  [[nodiscard]] uint64_t global_seq(size_t i) const noexcept {
+    return record(i)->global_seq;
   }
   [[nodiscard]] uint64_t trace_id(size_t i) const noexcept {
     return record(i)->trace_id;
@@ -195,8 +202,8 @@ class EventBatchView {
     return base_ + kHeaderSize + count_ * kEventStride + (3 * size_t{count_} + 1) * 4;
   }
 
-  const char* base_;
-  uint32_t count_;
+  const char* base_ = nullptr;
+  uint32_t count_ = 0;
 };
 
 // In-place patching of the sequencer-owned fields of a v4 payload the

@@ -1,7 +1,7 @@
-// The sharded aggregator hot path: parallel ingest decode behind a
-// ticketed sequencer, the lock-striped event store, and the group-commit
-// checkpoint WAL. These tests drive the configuration knobs past their
-// defaults (ingest_workers > 1, store_shards > 1) and assert the serial
+// The aggregator hot path: parallel ingest decode behind a ticketed
+// sequencer, the batch-log event store, and the group-commit checkpoint
+// WAL. These tests drive the configuration knobs past their defaults
+// (ingest_workers > 1, wal_group_max > 1) and assert the serial
 // loop's externally visible contracts still hold: global_seq monotone in
 // publication order, decode errors counted in arrival order, write-ahead
 // before visibility, and Stats() snapshots that are never torn.
@@ -32,7 +32,6 @@ class AggregatorIngestTest : public ::testing::Test {
     AggregatorConfig config;
     config.store_capacity = 1u << 16;
     config.ingest_workers = 4;
-    config.store_shards = 4;
     config.wal_group_max = 8;
     return config;
   }
@@ -257,7 +256,7 @@ TEST_F(AggregatorIngestTest, StatsStayConsistentUnderIngestLoad) {
         EXPECT_LE(stats.stored, stats.checkpointed);
         EXPECT_LE(checkpointed_first, stats.received);
         EXPECT_LE(stats.received, aggregator.NextSeq() - 1);
-        // Concurrent store reads against the striped shards.
+        // Concurrent store reads against the appending store thread.
         const auto recent = aggregator.store().Query(
             stats.stored > 8 ? stats.stored - 8 : 1, 16);
         for (size_t i = 1; i < recent.size(); ++i) {

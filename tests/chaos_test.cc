@@ -224,7 +224,7 @@ TEST(Chaos, ExactlyOnceActionsSurviveAggregatorCrashes) {
 // either has all of a group or none of it, the replay watermark never
 // advances past a half-committed group, and the history API serves the
 // full stream back with no duplicated or skipped global_seq — even with
-// 4 decode workers and 4 store shards churning underneath.
+// 4 decode workers churning underneath.
 TEST(Chaos, GroupCommitSurvivesMidCommitCrashes) {
   TimeAuthority authority(2000.0);
   const auto profile = lustre::TestbedProfile::Test();
@@ -233,7 +233,6 @@ TEST(Chaos, GroupCommitSurvivesMidCommitCrashes) {
   monitor::AggregatorConfig agg_config;
   agg_config.store_capacity = 1u << 20;
   agg_config.ingest_workers = 4;
-  agg_config.store_shards = 4;
   agg_config.wal_group_max = 8;
   std::atomic<uint64_t> commits{0};
   std::atomic<bool> crash_window{false};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace sdci::json {
 namespace {
 
@@ -98,6 +100,16 @@ TEST(Value, IndexingNonObjectYieldsNull) {
   const Value v(3.0);
   EXPECT_TRUE(v["anything"].is_null());
   EXPECT_TRUE(v["a"]["b"]["c"].is_null());
+}
+
+TEST(Value, AsIntSaturates) {
+  EXPECT_EQ(Parse("1e300")->AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Parse("-1e300")->AsInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(Parse("9223372036854775808")->AsInt(), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).AsInt(), 0);
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).AsInt(),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(Parse("-2.9")->AsInt(), -2);  // in range: truncates toward zero
 }
 
 TEST(Value, Equality) {
