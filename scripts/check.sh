@@ -101,7 +101,11 @@ else
   # while another calls back into the registry. The rule-index delta race
   # frees snapshots under live readers; the cloud/agent interleaving
   # pushes filter changes from two control-plane threads. The event-store
-  # snapshot test pages against a rotating writer.
+  # snapshot test pages against a rotating writer. The lost-wakeup tests
+  # race every blocking wait's park against its wake: SPSC consumer and
+  # producer, Close() on parked sides, the SQS long poll, and the fleet
+  # subscriber's notifier (whose Signal/WaitPast handshake the poller
+  # race hammers).
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -122,7 +126,15 @@ else
                    FairDrainInterleavesTenantsUnderConcurrency \
                    PublishesEachSequencedBatchAsOneMessage \
                    MetricsRegistry.CallbacksRunOutsideTheRegistryLock \
-                   EventStore.QueryFirstAvailableAndPageShareOneSnapshot; do
+                   EventStore.QueryFirstAvailableAndPageShareOneSnapshot \
+                   SpscRing.ProducerRacesParkingConsumer \
+                   SpscRing.ParkedProducerOnFullRingWakesOnPop \
+                   SpscRing.CloseWakesParkedConsumerAndProducer \
+                   ReliableQueue.LongPollWakesOnSend \
+                   ReliableQueue.LongPollWakesOnSweepRevival \
+                   FleetSubscriberWake.DeliveryToEitherShardWakesNextBatchFor \
+                   FleetSubscriberWake.CloseWakesABlockedNextBatchFor \
+                   Poller.NoMissedWakeupRace; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

@@ -1,5 +1,6 @@
 #include "common/clock.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <ctime>
@@ -57,6 +58,10 @@ void TimeAuthority::SleepUntil(VirtualTime t) const {
   if (t > now) SleepFor(t - now);
 }
 
+void TimeAuthority::IdleFor(VirtualDuration d) const {
+  if (d > VirtualDuration::zero()) std::this_thread::sleep_for(ToReal(d));
+}
+
 std::chrono::nanoseconds ThreadCpuNow() noexcept {
   timespec ts{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
@@ -74,7 +79,9 @@ void DelayBudget::Charge(VirtualDuration d) {
     const auto cpu_spent = cpu_now - cpu_checkpoint_;
     const VirtualDuration covered(static_cast<int64_t>(
         static_cast<double>(cpu_spent.count()) * authority_->dilation()));
-    d = covered >= d ? VirtualDuration::zero() : d - covered;
+    const VirtualDuration netted = std::min(covered, d);
+    netted_ += netted;
+    d -= netted;
   }
   have_checkpoint_ = true;
   cpu_checkpoint_ = cpu_now;
@@ -84,6 +91,7 @@ void DelayBudget::Charge(VirtualDuration d) {
 
 void DelayBudget::Flush() {
   if (debt_ > VirtualDuration::zero()) {
+    requested_ += debt_;
     // Oversleep becomes negative debt (credit), so contention-induced
     // scheduler slack does not depress long-run paced rates. The credit
     // is capped: a long stall must not buy an unbounded free burst.

@@ -42,6 +42,12 @@ class TimeAuthority {
   // Blocks until Now() >= t (returns immediately if already past).
   void SleepUntil(VirtualTime t) const;
 
+  // Idle back-off: blocks for about `d` of virtual time without SleepFor's
+  // spin tail. For poll loops with nothing to do, where oversleeping by
+  // timer slack costs nothing and spinning burns a core; modeled
+  // latencies use SleepFor.
+  void IdleFor(VirtualDuration d) const;
+
   [[nodiscard]] double dilation() const noexcept { return dilation_; }
 
   // Converts a virtual duration to the real duration it occupies.
@@ -86,12 +92,20 @@ class DelayBudget {
   [[nodiscard]] VirtualDuration TotalCharged() const noexcept {
     return VirtualDuration(total_ns_.load(std::memory_order_relaxed));
   }
+  // Owning thread only. Of what was charged: the (dilated) CPU work netted
+  // out, and the sleep requested from the clock. Oversleep credit lowers
+  // later requests, so the two add up to TotalCharged() only while no
+  // sleep has overslept, e.g. when a single Flush pays the whole debt.
+  [[nodiscard]] VirtualDuration TotalNetted() const noexcept { return netted_; }
+  [[nodiscard]] VirtualDuration TotalRequested() const noexcept { return requested_; }
 
  private:
   const TimeAuthority* authority_;
   std::chrono::nanoseconds flush_real_;
   VirtualDuration debt_{0};
   std::atomic<int64_t> total_ns_{0};
+  VirtualDuration netted_{0};
+  VirtualDuration requested_{0};
   bool have_checkpoint_ = false;
   std::chrono::nanoseconds cpu_checkpoint_{};
 };

@@ -14,16 +14,24 @@
 //  - head_ (consumer) and tail_ (producer) live on separate cache lines;
 //    each side keeps a non-atomic cache of the other's index and re-loads
 //    it (acquire) only when the cached value says full/empty — the fast
-//    path is one relaxed load, one store-release, zero shared-line
-//    bouncing.
-//  - release on publish / acquire on observe pairs make the slot contents
-//    visible without fences on x86 and correctly on weaker architectures
-//    (and keep TSan happy).
+//    path is one relaxed load, one seq_cst index store and one read of
+//    the peer's `parked` flag, which the peer writes only when it parks.
+//  - the index store publishes the slot contents to the peer's acquire
+//    load; it is seq_cst (not just release) for the park handshake below.
 //
 // Shutdown keeps BoundedQueue's drain discipline: Close() makes pushes
 // fail with kClosed while pops drain the remaining items before failing.
-// Blocking variants spin briefly, then yield, then sleep — bounded wake
-// latency without a futex dependency.
+//
+// Blocking variants spin briefly, then yield, then park on a futex
+// (std::atomic::wait) until the peer moves. Parking is a Dekker hand-
+// shake: the waiter raises its `parked` flag, re-checks the ring, and
+// waits only if it is still empty (full); the peer's index store and its
+// load of that flag are both seq_cst, so either the waiter sees the new
+// index or the peer sees the flag and notifies. The peer notifies only
+// when the flag is up, so an uncontended hand-off makes no syscall. The
+// wait is on a separate wake counter, not on an index: atomic::wait
+// returns only when the waited value changes, and Close() changes no
+// index.
 #pragma once
 
 #include <atomic>
@@ -61,7 +69,13 @@ class SpscRing {
       // rounds intact.
       Status status = PushImpl(item);
       if (status.ok() || status.code() == StatusCode::kClosed) return status;
-      backoff.Wait();
+      if (!backoff.Spin()) {
+        Park(producer_, [this] {
+          return tail_.load(std::memory_order_relaxed) -
+                     head_.load(std::memory_order_seq_cst) <=
+                 mask_;
+        });
+      }
     }
   }
 
@@ -74,7 +88,8 @@ class SpscRing {
       if (head == tail_cache_) return std::nullopt;
     }
     std::optional<T> out(std::move(slots_[head & mask_]));
-    head_.store(head + 1, std::memory_order_release);
+    head_.store(head + 1, std::memory_order_seq_cst);
+    WakeIfParked(producer_);
     return out;
   }
 
@@ -90,12 +105,27 @@ class SpscRing {
         if (auto item = TryPop()) return std::move(*item);
         return ClosedError("ring closed");
       }
-      backoff.Wait();
+      if (!backoff.Spin()) {
+        Park(consumer_, [this] {
+          return head_.load(std::memory_order_relaxed) !=
+                 tail_.load(std::memory_order_seq_cst);
+        });
+      }
     }
   }
 
   // Any thread. Pushes fail afterwards; the consumer drains what remains.
-  void Close() { closed_.store(true, std::memory_order_release); }
+  // Wakes a parked producer and a parked consumer. The drain is exact when
+  // the producer has stopped pushing (ThreadPool closes after joining its
+  // submitter); a push racing a Close() from another thread may be
+  // accepted and still miss the drain.
+  void Close() {
+    closed_.store(true, std::memory_order_seq_cst);
+    for (Waiter* waiter : {&producer_, &consumer_}) {
+      waiter->wake.fetch_add(1, std::memory_order_release);
+      waiter->wake.notify_all();
+    }
+  }
 
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
@@ -118,25 +148,60 @@ class SpscRing {
       if (tail - head_cache_ > mask_) return ResourceExhaustedError("ring full");
     }
     slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
+    WakeIfParked(consumer_);
     return OkStatus();
   }
 
-  // Spin -> yield -> capped sleep. The spin phase covers the common case
-  // (the peer is mid-operation on another core); the sleep bounds CPU burn
-  // when the peer is descheduled or genuinely idle.
+  // Spin -> yield, then park. The spin phase covers the common case (the
+  // peer is mid-operation on another core), the yield phase a peer that
+  // is descheduled or a feed with short gaps; after that the waiter parks
+  // until the peer notifies. The yield phase is timed, not counted: a
+  // consumer fed every few tens of microseconds (the aggregator's decode
+  // feed at drain rates) must not park between tasks, because each wake
+  // is a futex syscall on the producer's critical path.
   struct Backoff {
+    static constexpr std::chrono::microseconds kYieldFor{50};
     int rounds = 0;
-    void Wait() {
-      ++rounds;
-      if (rounds < 64) return;  // busy spin
-      if (rounds < 128) {
+    std::chrono::steady_clock::time_point yield_until{};
+    // False once both phases are spent: the caller should park.
+    bool Spin() {
+      if (++rounds < 64) return true;  // busy spin
+      const auto now = std::chrono::steady_clock::now();
+      if (rounds == 64) yield_until = now + kYieldFor;
+      if (now < yield_until) {
         std::this_thread::yield();
-        return;
+        return true;
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      return false;
     }
   };
+
+  // One side's parking spot: the counter it waits on and the flag that
+  // tells the peer a notify is needed.
+  struct Waiter {
+    std::atomic<uint32_t> wake{0};
+    std::atomic<bool> parked{false};
+  };
+
+  // Blocks until `ready()` may have turned true: the peer moved its index
+  // or the ring closed. `ready` must read the peer's index seq_cst.
+  template <typename Ready>
+  void Park(Waiter& self, Ready ready) {
+    const uint32_t ticket = self.wake.load(std::memory_order_acquire);
+    self.parked.store(true, std::memory_order_seq_cst);
+    if (!ready() && !closed_.load(std::memory_order_seq_cst)) {
+      self.wake.wait(ticket, std::memory_order_acquire);
+    }
+    self.parked.store(false, std::memory_order_relaxed);
+  }
+
+  // Called after this side's seq_cst index store.
+  static void WakeIfParked(Waiter& peer) {
+    if (!peer.parked.load(std::memory_order_seq_cst)) return;
+    peer.wake.fetch_add(1, std::memory_order_release);
+    peer.wake.notify_one();
+  }
 
   const uint64_t mask_;
   std::vector<T> slots_;
@@ -149,6 +214,10 @@ class SpscRing {
   uint64_t tail_cache_ = 0;
 
   alignas(64) std::atomic<bool> closed_{false};
+  // Each side's parking spot on its own line: the peer reads `parked` on
+  // every hand-off.
+  alignas(64) Waiter producer_;
+  alignas(64) Waiter consumer_;
 };
 
 }  // namespace sdci

@@ -136,7 +136,7 @@ void AggregatorSupervisor::EndOutage() {
 
 void AggregatorSupervisor::SuperviseLoop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
-    authority_->SleepFor(config_.check_interval);
+    authority_->IdleFor(config_.check_interval);
     const std::lock_guard<std::mutex> lock(mutex_);
     if (aggregator_ != nullptr && config_.crash_prob_per_check > 0 &&
         rng_.NextBool(config_.crash_prob_per_check)) {

@@ -50,7 +50,7 @@ void CentralizedCollector::Run(const std::stop_token& stop) {
     }
     if (drained == 0) {
       budget_.Flush();
-      authority_->SleepFor(config_.poll_interval);
+      authority_->IdleFor(config_.poll_interval);
     }
   }
   for (size_t mdt = 0; mdt < fs_->MdsCount(); ++mdt) DrainMds(mdt);

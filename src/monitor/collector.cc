@@ -224,7 +224,7 @@ void Collector::Run(const std::stop_token& stop) {
     if (!ReadPass()) {
       MaybeScheduleSpoolReplay();
       budget_.Flush();
-      authority_->SleepFor(config_.poll_interval);
+      authority_->IdleFor(config_.poll_interval);
     }
   }
   // Final flush pass so Stop() never abandons already-journaled records

@@ -186,12 +186,12 @@ Result<EventBatch> RecoveringSubscriber::NextBatchFor(std::chrono::nanoseconds t
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
     if (!ready_.empty()) return PopReady();
-    std::chrono::nanoseconds remaining(-1);
-    if (!infinite) {
-      remaining = deadline - std::chrono::steady_clock::now();
-      if (remaining <= std::chrono::nanoseconds(0)) return TimedOutError("no event");
-    }
-    auto batch = infinite ? live_.NextBatch() : live_.NextBatchFor(remaining);
+    // A spent deadline still takes a message that is already queued (a
+    // zero timeout, not a negative one: that would block).
+    auto batch = infinite ? live_.NextBatch()
+                          : live_.NextBatchFor(std::max<std::chrono::nanoseconds>(
+                                deadline - std::chrono::steady_clock::now(),
+                                std::chrono::nanoseconds(0)));
     if (!batch.ok()) return batch.status();
     // A batch may be entirely stale (a duplicated delivery): Ingest then
     // queues nothing and we simply wait for the next one.

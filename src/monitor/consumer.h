@@ -55,6 +55,12 @@ class EventSubscriber {
   // Stops receiving (wakes any blocked Next()).
   void Close();
 
+  // Signals `notifier` on every delivery to this subscriber's socket and
+  // on Close(), so one thread can wait on several subscribers at once.
+  void AttachNotifier(std::shared_ptr<msgq::PollNotifier> notifier) {
+    sub_->AttachNotifier(std::move(notifier));
+  }
+
   [[nodiscard]] uint64_t received() const noexcept { return received_; }
   [[nodiscard]] uint64_t batches_received() const noexcept { return batches_received_; }
   [[nodiscard]] uint64_t dropped_at_socket() const { return sub_->dropped(); }
@@ -148,12 +154,18 @@ class RecoveringSubscriber {
                        RecoveringSubscriberConfig config = {});
 
   // Next batch: backfilled events first, then live ones (blocking / with
-  // real-time timeout).
+  // real-time timeout). A zero or spent timeout still takes a live message
+  // that is already queued.
   Result<EventBatch> NextBatch();
   Result<EventBatch> NextBatchFor(std::chrono::nanoseconds timeout);
 
   // Stops receiving (wakes any blocked NextBatch()).
   void Close();
+
+  // See EventSubscriber::AttachNotifier.
+  void AttachNotifier(std::shared_ptr<msgq::PollNotifier> notifier) {
+    live_.AttachNotifier(std::move(notifier));
+  }
 
   // Lowest sequence not yet delivered (the continuity watermark).
   [[nodiscard]] uint64_t next_expected() const noexcept {

@@ -89,7 +89,6 @@ void EventCatalog::StoreLoop() {
       const VirtualTime store_start =
           tracer_ != nullptr ? authority_->Now() : VirtualTime{};
       store_.Append(batch);
-      if (stored_ != nullptr) stored_->Add(batch.size());
       // Watermark and trace fields come from the bound view: materializing
       // the batch here would pin an FsEvent copy of every stored batch.
       const wire::EventBatchView& view = batch.view();
@@ -103,6 +102,8 @@ void EventCatalog::StoreLoop() {
                           "aggregator", store_start, store_end);
         }
       }
+      // Counted last: whoever sees a batch as stored also sees its spans.
+      if (stored_ != nullptr) stored_->Add(count);
     }
   }
 }

@@ -1,14 +1,15 @@
 #include "monitor/federation.h"
 
 #include <algorithm>
+#include <optional>
 #include <queue>
 
 namespace sdci::monitor {
 
 namespace {
-// Per-shard poll slice for the round-robin live feed: long enough to
-// amortize the receive call, short enough that an idle shard costs little.
-constexpr std::chrono::nanoseconds kPollSlice = std::chrono::milliseconds(1);
+// Longest single park of a subscriber told to wait forever; it then
+// sweeps again and parks anew.
+constexpr std::chrono::nanoseconds kForever = std::chrono::hours(1);
 }  // namespace
 
 std::vector<FsEvent> MergeByHlc(std::vector<std::vector<FsEvent>> runs) {
@@ -180,38 +181,54 @@ FleetSubscriber::FleetSubscriber(msgq::Context& context,
     shards_.push_back(std::make_unique<RecoveringSubscriber>(
         context, publish_endpoints[i], api_endpoints.at(i),
         std::move(shard_config)));
+    shards_.back()->AttachNotifier(notifier_);
   }
+}
+
+Result<EventBatch> FleetSubscriber::Sweep() {
+  const size_t n = shards_.size();
+  size_t closed = 0;
+  const auto take = [&](size_t index) -> std::optional<EventBatch> {
+    auto batch = shards_[index]->NextBatchFor(std::chrono::nanoseconds(0));
+    if (batch.ok()) {
+      next_shard_ = (index + 1) % n;
+      return std::move(batch.value());
+    }
+    // Anything but kClosed (a timeout, an undecodable message) just means
+    // this shard has nothing for us now.
+    if (batch.status().code() == StatusCode::kClosed) ++closed;
+    return std::nullopt;
+  };
+  // Open-circuit shards go last: a shard the breaker reads as down should
+  // not delay the healthy ones, but its queued messages are still taken
+  // (sweeping costs nothing, and recovery needs no action here: once the
+  // breaker closes, RecoveringSubscriber's backfill heals the outage gap).
+  std::vector<size_t> deferred;
+  for (size_t hop = 0; hop < n; ++hop) {
+    const size_t index = (next_shard_ + hop) % n;
+    if (health_ != nullptr && health_->StateOf(index) == CircuitState::kOpen) {
+      deferred.push_back(index);
+      continue;
+    }
+    if (auto batch = take(index)) return std::move(*batch);
+  }
+  for (const size_t index : deferred) {
+    if (auto batch = take(index)) return std::move(*batch);
+  }
+  if (closed == n) return ClosedError("every shard closed");
+  return TimedOutError("no event");
 }
 
 Result<EventBatch> FleetSubscriber::NextBatchFor(std::chrono::nanoseconds timeout) {
   if (shards_.empty()) return ClosedError("no shards");
   const bool infinite = timeout < std::chrono::nanoseconds(0);
   const auto deadline = std::chrono::steady_clock::now() + timeout;
-  size_t closed_streak = 0;  // consecutive kClosed answers
   while (true) {
-    std::chrono::nanoseconds slice = kPollSlice;
-    if (!infinite) {
-      const std::chrono::nanoseconds remaining =
-          deadline - std::chrono::steady_clock::now();
-      if (remaining <= std::chrono::nanoseconds(0)) return TimedOutError("no event");
-      slice = std::min(slice, remaining);
-    }
-    // Deprioritize open-circuit shards: skip past them (bounded by one
-    // full rotation) unless every shard is open, in which case polling
-    // proceeds anyway — a cheap receive on a dead shard just times out,
-    // and it keeps the subscriber from busy-spinning while the fleet is
-    // down. Recovery needs no action here: once the breaker half-opens
-    // the shard rejoins the rotation and RecoveringSubscriber's backfill
-    // heals whatever the outage gapped.
-    if (health_ != nullptr) {
-      for (size_t hops = 0; hops < shards_.size(); ++hops) {
-        if (health_->StateOf(next_shard_) != CircuitState::kOpen) break;
-        next_shard_ = (next_shard_ + 1) % shards_.size();
-      }
-    }
-    RecoveringSubscriber& shard = *shards_[next_shard_];
-    next_shard_ = (next_shard_ + 1) % shards_.size();
-    auto batch = shard.NextBatchFor(slice);
+    // Read the version BEFORE the sweep: a delivery (or Close) racing the
+    // sweep bumps it, so the wait below returns at once instead of
+    // sleeping on a message the sweep just missed.
+    const uint64_t version = notifier_->Version();
+    auto batch = Sweep();
     if (batch.ok()) {
       // Pass-through delivery: in and out book together (held is always 0
       // at this boundary; only a merge bug could unbalance the row).
@@ -222,12 +239,13 @@ Result<EventBatch> FleetSubscriber::NextBatchFor(std::chrono::nanoseconds timeou
       }
       return batch;
     }
-    if (batch.status().code() == StatusCode::kClosed) {
-      // The fleet is closed only when a full round answers closed.
-      if (++closed_streak >= shards_.size()) return batch.status();
-      continue;
+    if (batch.status().code() == StatusCode::kClosed) return batch.status();
+    std::chrono::nanoseconds wait = kForever;
+    if (!infinite) {
+      wait = deadline - std::chrono::steady_clock::now();
+      if (wait <= std::chrono::nanoseconds(0)) return batch.status();
     }
-    closed_streak = 0;  // timeouts just move on to the next shard
+    notifier_->WaitPast(version, wait);
   }
 }
 
@@ -235,31 +253,24 @@ Result<EventBatch> FleetSubscriber::DrainMergedFor(std::chrono::nanoseconds time
                                                    std::chrono::nanoseconds quiet) {
   // Collect per-shard runs (each in that shard's sequence == HLC order),
   // stopping once every shard has been quiet for `quiet`, then merge into
-  // the fleet-wide HLC order.
+  // the fleet-wide HLC order. Each round takes one queued message per
+  // shard without blocking; a round that finds nothing parks on the
+  // notifier until a delivery, the quiet period or the deadline.
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   std::vector<std::vector<FsEvent>> runs(shards_.size());
   auto quiet_since = std::chrono::steady_clock::now();
   bool any = false;
   while (true) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline || now - quiet_since >= quiet) break;
+    const uint64_t version = notifier_->Version();
     bool round_got_events = false;
     for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      // Clamp the per-shard slice to the remaining deadline budget: the
-      // deadline check above runs once per round, so without the clamp a
-      // shard late in the rotation would be polled with a full slice after
-      // the budget is already spent (N-shard rounds overshot the deadline
-      // by up to (N-1) slices). An open breaker is skipped the same way a
-      // quiet shard is — its events are simply not in this drain.
-      const auto shard_now = std::chrono::steady_clock::now();
-      if (shard_now >= deadline) break;
+      // An open breaker is skipped the same way a quiet shard is — its
+      // events are simply not in this drain.
       if (health_ != nullptr &&
           health_->StateOf(shard) == CircuitState::kOpen) {
         continue;
       }
-      const auto slice = std::min<std::chrono::nanoseconds>(
-          kPollSlice, deadline - shard_now);
-      auto batch = shards_[shard]->NextBatchFor(slice);
+      auto batch = shards_[shard]->NextBatchFor(std::chrono::nanoseconds(0));
       if (!batch.ok()) continue;  // timeout or closed: this shard is quiet
       const auto& events = batch->events();
       if (merged_in_ != nullptr) merged_in_->Add(events.size());
@@ -267,7 +278,11 @@ Result<EventBatch> FleetSubscriber::DrainMergedFor(std::chrono::nanoseconds time
       round_got_events = true;
       any = true;
     }
-    if (round_got_events) quiet_since = std::chrono::steady_clock::now();
+    const auto now = std::chrono::steady_clock::now();
+    if (round_got_events) quiet_since = now;
+    const auto until = std::min(deadline, quiet_since + quiet);
+    if (now >= until) break;
+    if (!round_got_events) notifier_->WaitPast(version, until - now);
   }
   if (!any) return TimedOutError("no events before deadline");
   EventBatch merged(MergeByHlc(std::move(runs)));

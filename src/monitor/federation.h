@@ -118,9 +118,9 @@ class FleetSubscriber {
   // metrics, shard i registers as "<name>.<i>" (unsuffixed for one shard).
   // `health` is the fleet-shared breaker state (optional): the rotation
   // deprioritizes shards whose breaker reads open. The subscriber only
-  // READS breaker state — a poll slice with no events is normal, not
-  // failure evidence, so it never records outcomes itself; healing after
-  // an outage rides the per-shard RecoveringSubscriber backfill.
+  // READS breaker state — a wait with no events is normal, not failure
+  // evidence, so it never records outcomes itself; healing after an
+  // outage rides the per-shard RecoveringSubscriber backfill.
   FleetSubscriber(msgq::Context& context,
                   const std::vector<std::string>& publish_endpoints,
                   const std::vector<std::string>& api_endpoints,
@@ -128,15 +128,15 @@ class FleetSubscriber {
                   std::shared_ptr<ShardHealthTracker> health = nullptr);
 
   // Next live batch from any shard (backfill-before-live per shard, as
-  // RecoveringSubscriber guarantees). Shards are polled round-robin in
-  // short slices so one idle shard cannot starve the rest; batches from
-  // one shard arrive in that shard's sequence order. Open-circuit shards
-  // are skipped for the round (unless every shard is open, in which case
-  // polling proceeds — the poll doubles as a cheap liveness probe). The
-  // per-shard slice is clamped to the remaining deadline budget, so a
-  // shard late in the rotation never sees a negative or overlong poll.
-  // Returns kTimeout when nothing arrived within `timeout`, kClosed once
-  // every shard is closed.
+  // RecoveringSubscriber guarantees). Each call first sweeps the shards
+  // without blocking, starting after the shard that delivered last, so an
+  // idle shard never delays a busy one; batches from one shard arrive in
+  // that shard's sequence order. Open-circuit shards are swept last. When
+  // the sweep finds nothing, the call parks on one notifier that every
+  // shard's socket signals on delivery and on Close, for at most the rest
+  // of `timeout`, then sweeps again. Returns kTimedOut when nothing
+  // arrived within `timeout` (a zero timeout still takes what is queued),
+  // kClosed once every shard is closed.
   [[nodiscard]] Result<EventBatch> NextBatchFor(std::chrono::nanoseconds timeout);
 
   // Drains every shard until all have been quiet for `quiet` (bounded by
@@ -163,9 +163,16 @@ class FleetSubscriber {
   }
 
  private:
+  // One non-blocking pass over the shards from the rotating cursor.
+  // kTimedOut when no shard had a batch, kClosed when every shard is.
+  Result<EventBatch> Sweep();
+
   std::vector<std::unique_ptr<RecoveringSubscriber>> shards_;
   std::shared_ptr<ShardHealthTracker> health_;  // may be null: no breakers
-  size_t next_shard_ = 0;  // round-robin cursor
+  // Signalled by every shard's socket on delivery and on Close.
+  std::shared_ptr<msgq::PollNotifier> notifier_ =
+      std::make_shared<msgq::PollNotifier>();
+  size_t next_shard_ = 0;  // where the next sweep starts
 
   // fleet.merge ledger row (in = events popped from per-shard subscribers,
   // out = events delivered to the caller — the merge conserves or the row

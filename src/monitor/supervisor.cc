@@ -65,7 +65,7 @@ void CollectorSupervisor::InjectCrash(size_t mdt) {
 
 void CollectorSupervisor::SuperviseLoop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
-    authority_->SleepFor(config_.check_interval);
+    authority_->IdleFor(config_.check_interval);
     const std::lock_guard<std::mutex> lock(mutex_);
     for (size_t mdt = 0; mdt < collectors_.size(); ++mdt) {
       if (collectors_[mdt] != nullptr && config_.crash_prob_per_check > 0 &&

@@ -39,23 +39,25 @@ FaultStats FaultInjector::Stats() const {
 // ---------- PollNotifier / Poller ----------
 
 void PollNotifier::Signal() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++version_;
-  }
+  // Dekker pair with WaitPast: the version bump and the waiter count are
+  // both seq_cst, so either a parking waiter sees the new version or this
+  // sees the waiter, and then notifies under the mutex the waiter holds
+  // until it is inside the wait.
+  version_.fetch_add(1, std::memory_order_seq_cst);
+  if (waiters_.load(std::memory_order_seq_cst) == 0) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
   cv_.notify_all();
 }
 
 uint64_t PollNotifier::WaitPast(uint64_t seen_version,
                                 std::chrono::nanoseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait_for(lock, timeout, [&] { return version_ != seen_version; });
-  return version_;
-}
-
-uint64_t PollNotifier::Version() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return version_;
+  waiters_.fetch_add(1, std::memory_order_seq_cst);
+  cv_.wait_for(lock, timeout, [&] {
+    return version_.load(std::memory_order_seq_cst) != seen_version;
+  });
+  waiters_.fetch_sub(1, std::memory_order_relaxed);
+  return Version();
 }
 
 size_t Poller::Add(std::shared_ptr<SubSocket> socket) {
@@ -168,7 +170,12 @@ Result<Message> SubSocket::ReceiveFor(std::chrono::nanoseconds timeout) {
 
 std::optional<Message> SubSocket::TryReceive() { return queue_.TryPop(); }
 
-void SubSocket::Close() { queue_.Close(); }
+void SubSocket::Close() {
+  queue_.Close();
+  // A waiter on the notifier re-checks the socket and sees it closed.
+  const std::lock_guard<std::mutex> lock(notifier_mutex_);
+  if (notifier_ != nullptr) notifier_->Signal();
+}
 
 // ---------- PUB hub ----------
 

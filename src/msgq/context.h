@@ -90,18 +90,23 @@ class FaultInjector {
 };
 
 // Shared wakeup channel between sockets and a Poller.
+// Signal and Version are lock-free; Signal takes the mutex only when a
+// waiter is parked, so a delivery with nobody waiting costs two atomics.
 class PollNotifier {
  public:
   void Signal();
   // Blocks until Signal has been called after `seen_version`, or timeout.
   // Returns the current version.
   uint64_t WaitPast(uint64_t seen_version, std::chrono::nanoseconds timeout);
-  [[nodiscard]] uint64_t Version();
+  [[nodiscard]] uint64_t Version() const noexcept {
+    return version_.load(std::memory_order_acquire);
+  }
 
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
-  uint64_t version_ = 0;
+  std::atomic<uint64_t> version_{0};
+  std::atomic<uint32_t> waiters_{0};
 };
 
 // Subscriber endpoint. Create via Context::CreateSub.
@@ -121,7 +126,8 @@ class SubSocket {
   // Non-blocking.
   std::optional<Message> TryReceive();
 
-  // Detaches from the hub and wakes blocked receivers.
+  // Detaches from the hub and wakes blocked receivers, including a waiter
+  // on the attached notifier.
   void Close();
 
   // Models the host behind this socket dropping off the network (partition,
@@ -141,7 +147,8 @@ class SubSocket {
   [[nodiscard]] uint64_t dropped() const noexcept { return dropped_.Get(); }
   [[nodiscard]] size_t QueueDepth() const { return queue_.size(); }
 
-  // Attaches a wakeup channel (used by Poller); deliveries signal it.
+  // Attaches a wakeup channel (used by Poller); deliveries and Close()
+  // signal it.
   void AttachNotifier(std::shared_ptr<PollNotifier> notifier);
 
  private:

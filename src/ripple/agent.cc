@@ -171,7 +171,7 @@ void Agent::WatcherLoop(const std::stop_token& stop) {
   };
   while (!stop.stop_requested()) {
     deliver(watcher_->Poll());
-    authority_->SleepFor(watcher_poll_interval_);
+    authority_->IdleFor(watcher_poll_interval_);
   }
   // Final poll so Stop() observes everything already journaled.
   deliver(watcher_->Poll());

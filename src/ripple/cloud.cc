@@ -301,11 +301,8 @@ bool CloudService::ProcessMessage(const QueueMessage& message) {
 
 void CloudService::WorkerLoop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
-    auto message = queue_.Receive();
-    if (!message.has_value()) {
-      authority_->SleepFor(config_.worker_poll);
-      continue;
-    }
+    auto message = queue_.Receive(config_.worker_poll);
+    if (!message.has_value()) continue;
     if (ProcessMessage(*message)) {
       // Only a successful delete removes the entry (a stale receipt means
       // the message was redelivered and someone else will finish it).
@@ -318,7 +315,7 @@ void CloudService::WorkerLoop(const std::stop_token& stop) {
 
 void CloudService::CleanupLoop(const std::stop_token& stop) {
   while (!stop.stop_requested()) {
-    authority_->SleepFor(config_.cleanup_interval);
+    authority_->IdleFor(config_.cleanup_interval);
     queue_.CleanupSweep();
   }
 }

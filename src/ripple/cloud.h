@@ -37,7 +37,7 @@ class Agent;
 
 struct CloudConfig {
   size_t worker_count = 2;
-  VirtualDuration worker_poll = Millis(5);      // idle queue back-off
+  VirtualDuration worker_poll = Millis(5);      // long-poll bound per receive
   VirtualDuration cleanup_interval = Millis(200);
   ReliableQueueConfig queue;
   double report_drop_prob = 0.0;

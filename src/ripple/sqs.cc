@@ -15,6 +15,7 @@ uint64_t ReliableQueue::Send(std::string body, std::string lane) {
   const uint64_t id = entry.id;
   lanes_[std::move(lane)].push_back(std::move(entry));
   ++total_sent_;
+  visible_.notify_one();
   return id;
 }
 
@@ -29,8 +30,20 @@ uint64_t ReliableQueue::PushDeadLetter(std::string body, std::string lane) {
   return id;
 }
 
-std::optional<QueueMessage> ReliableQueue::Receive() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+std::optional<QueueMessage> ReliableQueue::Receive(VirtualDuration wait) {
+  const auto deadline = std::chrono::steady_clock::now() + authority_->ToReal(wait);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Send and CleanupSweep notify under the lock, so no wake is lost
+  // between a receive that found nothing and the wait.
+  auto message = ReceiveLocked();
+  while (!message.has_value() && wait > VirtualDuration::zero() &&
+         visible_.wait_until(lock, deadline) == std::cv_status::no_timeout) {
+    message = ReceiveLocked();
+  }
+  return message;
+}
+
+std::optional<QueueMessage> ReliableQueue::ReceiveLocked() {
   const VirtualTime now = authority_->Now();
   // Round-robin across lanes, starting after the last lane that delivered;
   // FIFO within each lane. A lane emptied by dead-lettering is reclaimed.
@@ -104,6 +117,7 @@ size_t ReliableQueue::CleanupSweep() {
       }
     }
   }
+  if (revived > 0) visible_.notify_all();
   return revived;
 }
 

@@ -18,8 +18,13 @@
 // visible messages, so one tenant's backlog (or redelivery churn) cannot
 // starve the others — with a single lane the behavior is exactly the old
 // global FIFO. Lanes are created on first Send and reclaimed when empty.
+//
+// Long polling (SQS's WaitTimeSeconds): Receive(wait) parks on a
+// condition variable while nothing is visible; Send and a CleanupSweep
+// that revives entries wake it, and `wait` bounds the park.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -54,10 +59,13 @@ class ReliableQueue {
   uint64_t Send(std::string body, std::string lane = std::string());
 
   // Delivers the oldest visible message of the next lane in the round-
-  // robin rotation, hiding it for the visibility timeout. Returns nullopt
-  // when nothing is currently visible. Messages exceeding max_receives
-  // are moved to the dead-letter list instead.
-  std::optional<QueueMessage> Receive();
+  // robin rotation, hiding it for the visibility timeout. Messages
+  // exceeding max_receives are moved to the dead-letter list instead.
+  // When nothing is visible, long-polls: waits up to `wait` (virtual time)
+  // for a Send or a sweep to make a message visible, and returns nullopt
+  // if none does. An in-flight entry whose timeout lapses mid-wait is
+  // picked up by the next receive, or sooner if a sweep revives it.
+  std::optional<QueueMessage> Receive(VirtualDuration wait = VirtualDuration::zero());
 
   // Acknowledges a delivery. Fails with kNotFound when the receipt is
   // stale (the message timed out and was redelivered — the race the
@@ -98,9 +106,12 @@ class ReliableQueue {
     std::string body;
   };
 
+  std::optional<QueueMessage> ReceiveLocked();
+
   const TimeAuthority* authority_;
   ReliableQueueConfig config_;
   mutable std::mutex mutex_;
+  std::condition_variable visible_;  // a Send or a sweep made work visible
   // Per-lane FIFOs, rotated fairly by Receive. Empty lanes are erased so
   // the map stays bounded by the set of tenants with work in flight.
   std::map<std::string, std::deque<Entry>> lanes_;

@@ -75,18 +75,29 @@ TEST(DelayBudget, PacedLoopMatchesModeledRate) {
 
 TEST(DelayBudget, NettingCoversRealWork) {
   // Charge ops whose modeled cost greatly exceeds the CPU burned between
-  // charges: total elapsed should track the model, not model + work.
+  // charges: the budget must net that CPU out of the model, so the sleep
+  // it asks for plus the CPU it netted is exactly the model, not model +
+  // work. Checked on the budget's own accounting, which no scheduler delay
+  // can move: one Flush pays the whole debt (the flush slice exceeds it),
+  // so no oversleep credit feeds back into later requests.
   TimeAuthority authority(50.0);
-  DelayBudget budget(authority);
-  const VirtualTime start = authority.Now();
+  DelayBudget budget(authority, std::chrono::seconds(1));
+  const auto cpu_before = ThreadCpuNow();
   volatile uint64_t sink = 0;
   for (int i = 0; i < 100; ++i) {
     for (int j = 0; j < 1000; ++j) sink = sink + j;  // some real CPU work
     budget.Charge(Millis(2));
   }
+  const auto cpu_spent = ThreadCpuNow() - cpu_before;
   budget.Flush();
-  const double elapsed_s = ToSecondsF(authority.Now() - start);
-  EXPECT_NEAR(elapsed_s, 0.2, 0.05);  // 100 x 2ms modeled
+  const VirtualDuration model = 100 * Millis(2);
+  EXPECT_EQ(budget.TotalCharged(), model);
+  EXPECT_EQ(budget.TotalRequested() + budget.TotalNetted(), model);
+  // Real work was netted, so less than the model was slept...
+  EXPECT_GT(budget.TotalNetted(), VirtualDuration::zero());
+  EXPECT_LT(budget.TotalRequested(), model);
+  // ...but never more than the work really done (dilated to virtual time).
+  EXPECT_LE(budget.TotalNetted(), cpu_spent * 50);
 }
 
 TEST(FormatClockTime, HhMmSsFraction) {

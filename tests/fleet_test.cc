@@ -209,10 +209,11 @@ TEST_F(FleetTest, DrainMergedForReturnsFleetWideHlcOrder) {
 }
 
 // Regression: DrainMergedFor used to check the deadline once per round
-// while polling every shard with a full kPollSlice, so a wide fleet
+// while polling every shard with a full 1 ms slice, so a wide fleet
 // overshot a small timeout by up to (shards - 1) slices — and a shard late
-// in the rotation was polled with budget that was already spent. The
-// per-shard clamp bounds the whole drain by timeout + one slice.
+// in the rotation was polled with budget that was already spent. Shards
+// are now swept without blocking and the one wait is bounded by the
+// deadline, so a wide quiet fleet still stops on time.
 TEST_F(FleetTest, DrainMergedForRespectsDeadlineAcrossWideRotation) {
   // 32 endpoint-only shards (no aggregators behind them): every poll can
   // only time out, which is exactly the worst case for the rotation.
@@ -227,15 +228,14 @@ TEST_F(FleetTest, DrainMergedForRespectsDeadlineAcrossWideRotation) {
   auto drained = sub.DrainMergedFor(std::chrono::milliseconds(2));
   const auto wall = std::chrono::steady_clock::now() - start;
   EXPECT_FALSE(drained.ok());
-  // Unclamped, one round alone is >= 32ms of slices; clamped, the drain
-  // stops within the deadline plus one slice (margin for scheduling).
+  // One round of 1 ms slices alone would be >= 32ms; the drain must stop
+  // within the deadline (margin for scheduling).
   EXPECT_LT(wall, std::chrono::milliseconds(20))
       << "drain overshot its deadline by "
       << std::chrono::duration_cast<std::chrono::milliseconds>(wall).count()
       << "ms";
-  // NextBatchFor makes the same promise per poll: the remaining budget
-  // clamps the slice, and an exhausted budget times out instead of
-  // handing a shard a stale full slice.
+  // NextBatchFor makes the same promise: its wait is bounded by the
+  // remaining budget, and an exhausted budget times out.
   const auto poll_start = std::chrono::steady_clock::now();
   EXPECT_FALSE(sub.NextBatchFor(std::chrono::milliseconds(2)).ok());
   EXPECT_LT(std::chrono::steady_clock::now() - poll_start,

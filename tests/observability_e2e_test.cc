@@ -124,6 +124,20 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_EQ(agent.outbox().Count(), static_cast<size_t>(kFiles));
+  // The store thread records store.append beside publish, so a full outbox
+  // does not mean every store span is in the sink yet. The catalog books a
+  // batch as stored only after recording its spans: wait until it has
+  // stored every sequenced event, which covers every create.
+  const auto store_caught_up = [&] {
+    for (const FlowLedger::Row& row : flow->Audit().rows) {
+      if (row.boundary == "shard.store") return row.in >= kFiles && row.imbalance == 0;
+    }
+    return false;
+  };
+  while (!store_caught_up() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(store_caught_up()) << flow->ToJson().Dump();
 
   // The acceptance criterion: some traced event (a /hot create that fired
   // the rule) must have recorded every stage of the taxonomy, in causal
@@ -356,10 +370,13 @@ TEST(ObservabilityE2E, MonitorStatusJsonCarriesLiveObservability) {
 
   // Pump the subscriber (trickling fresh traffic: a gap at the stream's
   // tail is only discovered when the next live message lands) until it has
-  // both detected and healed at least one hole.
+  // both detected and healed at least one hole, and the supervisor has
+  // crashed its aggregator at least once (its health checks sleep between
+  // rounds, so on a loaded host the first crash can come after the heal).
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   int flush = 0;
-  while ((rec.gaps_detected() == 0 || rec.events_backfilled() == 0) &&
+  while ((rec.gaps_detected() == 0 || rec.events_backfilled() == 0 ||
+          agg_supervisor.crashes() == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(client.Create("/hot/flush" + std::to_string(flush++)).ok());
     client.FlushDelay();

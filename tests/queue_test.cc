@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/spsc.h"
 
 namespace sdci {
@@ -302,6 +304,173 @@ TEST(SpscRing, StressPreservesFifo) {
   for (uint64_t i = 0; i < kCount; ++i) ASSERT_TRUE(ring.Push(i).ok());
   ring.Close();
   consumer.join();
+}
+
+// Lost-wakeup harness for the parking rings. A pause of a random kind
+// (none, a short spin, a yield, or a sleep long enough for the peer to
+// exhaust its spin and yield phases and park) lands the peer in every
+// window of the park handshake.
+void RandomPause(Rng& rng) {
+  switch (rng.NextBelow(4)) {
+    case 0:
+      return;
+    case 1: {
+      volatile uint64_t sink = 0;
+      const uint64_t spins = rng.NextBelow(2000);
+      for (uint64_t i = 0; i < spins; ++i) sink = sink + i;
+      return;
+    }
+    case 2:
+      std::this_thread::yield();
+      return;
+    default:
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+  }
+}
+
+// Waits for `done`; a side stuck in a park that missed its wake fails the
+// test, and Close() (which wakes both sides) then frees it so the test
+// still terminates.
+template <typename R, typename T>
+bool FinishesInTime(std::future<R>& done, SpscRing<T>& ring) {
+  if (done.wait_for(std::chrono::seconds(30)) == std::future_status::ready) {
+    return true;
+  }
+  ring.Close();
+  return false;
+}
+
+// Runs a producer and a consumer of 0..count-1 on their own threads, the
+// slow side pausing at random every fourth item, and checks exact FIFO
+// delivery. A
+// missed wake parks one side for good, and then the other once the ring
+// fills or drains, so both are watched.
+void RaceProducerAndConsumer(SpscRing<uint64_t>& ring, uint64_t count,
+                             bool slow_producer) {
+  auto producer = std::async(std::launch::async, [&] {
+    Rng rng(7);
+    for (uint64_t i = 0; i < count; ++i) {
+      if (slow_producer && i % 4 == 0) RandomPause(rng);
+      ASSERT_TRUE(ring.Push(i).ok());
+    }
+  });
+  auto consumer = std::async(std::launch::async, [&] {
+    Rng rng(11);
+    for (uint64_t expected = 0; expected < count; ++expected) {
+      if (!slow_producer && expected % 4 == 0) RandomPause(rng);
+      auto item = ring.Pop();
+      ASSERT_TRUE(item.ok());
+      ASSERT_EQ(*item, expected);
+    }
+  });
+  EXPECT_TRUE(FinishesInTime(consumer, ring)) << "a side missed a wakeup";
+  EXPECT_TRUE(FinishesInTime(producer, ring)) << "a side missed a wakeup";
+  producer.get();
+  consumer.get();
+}
+
+TEST(SpscRing, ProducerRacesParkingConsumer) {
+  // The consumer keeps draining the ring dry and parking; the producer
+  // pushes at random moments. Every value arrives exactly once, in order.
+  SpscRing<uint64_t> ring(8);
+  RaceProducerAndConsumer(ring, 20000, /*slow_producer=*/true);
+}
+
+TEST(SpscRing, ParkedProducerOnFullRingWakesOnPop) {
+  // A two-slot ring and a slow consumer: the producer keeps finding the
+  // ring full and parking until a pop frees a slot.
+  SpscRing<uint64_t> ring(2);
+  RaceProducerAndConsumer(ring, 20000, /*slow_producer=*/false);
+}
+
+TEST(SpscRing, CloseWakesParkedConsumerAndProducer) {
+  // Parked for sure: a consumer on an empty ring and a producer on a full
+  // one, each left long enough to spend its spin and yield phases.
+  SpscRing<int> empty(2);
+  SpscRing<int> full(2);
+  ASSERT_TRUE(full.TryPush(1).ok());
+  ASSERT_TRUE(full.TryPush(2).ok());
+  auto consumer = std::async(std::launch::async, [&] {
+    EXPECT_EQ(empty.Pop().status().code(), StatusCode::kClosed);
+  });
+  auto producer = std::async(std::launch::async, [&] {
+    EXPECT_EQ(full.Push(3).code(), StatusCode::kClosed);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  empty.Close();
+  full.Close();
+  EXPECT_TRUE(FinishesInTime(consumer, empty)) << "Close missed the parked consumer";
+  EXPECT_TRUE(FinishesInTime(producer, full)) << "Close missed the parked producer";
+  EXPECT_EQ(full.Pop().value(), 1);
+  EXPECT_EQ(full.Pop().value(), 2);
+
+  // Racing, as ThreadPool::Shutdown does it: the producer closes after
+  // its last push, while the consumer races into its park. The consumer
+  // gets exactly the pushed values, in order, then kClosed.
+  Rng rng(3);
+  for (int round = 0; round < 200; ++round) {
+    SpscRing<uint64_t> ring(2);
+    const uint64_t count = rng.NextBelow(16);
+    auto push_side = std::async(std::launch::async, [&ring, count, round] {
+      Rng pauses(static_cast<uint64_t>(round) + 500);
+      for (uint64_t i = 0; i < count; ++i) {
+        RandomPause(pauses);
+        if (!ring.Push(i).ok()) return;
+      }
+      RandomPause(pauses);
+      ring.Close();
+    });
+    auto pop_side = std::async(std::launch::async, [&ring] {
+      for (uint64_t expected = 0;; ++expected) {
+        auto item = ring.Pop();
+        if (!item.ok()) {
+          EXPECT_EQ(item.status().code(), StatusCode::kClosed);
+          return expected;
+        }
+        EXPECT_EQ(*item, expected);
+      }
+    });
+    ASSERT_TRUE(FinishesInTime(pop_side, ring)) << "round " << round;
+    ASSERT_TRUE(FinishesInTime(push_side, ring)) << "round " << round;
+    push_side.get();
+    EXPECT_EQ(pop_side.get(), count) << "round " << round;
+  }
+
+  // Racing from a third thread while both sides run and park. Both wake
+  // and the consumer gets a FIFO prefix of the accepted values: all of
+  // them, save possibly the one push that raced the close (see Close()).
+  for (int round = 0; round < 200; ++round) {
+    SpscRing<uint64_t> ring(2);
+    std::atomic<uint64_t> accepted{0};
+    auto push_side = std::async(std::launch::async, [&ring, &accepted, round] {
+      Rng pauses(static_cast<uint64_t>(round) + 100);
+      for (uint64_t i = 0;; ++i) {
+        if (i % 4 == 0) RandomPause(pauses);
+        if (!ring.Push(i).ok()) return;
+        accepted.store(i + 1, std::memory_order_relaxed);
+      }
+    });
+    auto pop_side = std::async(std::launch::async, [&ring, round] {
+      Rng pauses(static_cast<uint64_t>(round) + 900);
+      for (uint64_t expected = 0;; ++expected) {
+        if (expected % 4 == 0) RandomPause(pauses);
+        auto item = ring.Pop();
+        if (!item.ok()) {
+          EXPECT_EQ(item.status().code(), StatusCode::kClosed);
+          return expected;
+        }
+        EXPECT_EQ(*item, expected);
+      }
+    });
+    RandomPause(rng);
+    ring.Close();
+    ASSERT_TRUE(FinishesInTime(push_side, ring)) << "round " << round;
+    ASSERT_TRUE(FinishesInTime(pop_side, ring)) << "round " << round;
+    push_side.get();
+    const uint64_t popped = pop_side.get();
+    EXPECT_LE(popped, accepted.load()) << "round " << round;
+    EXPECT_GE(popped + 1, accepted.load()) << "round " << round;
+  }
 }
 
 TEST(SpscRing, SizeTracksOccupancy) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace sdci::ripple {
 namespace {
@@ -83,6 +87,71 @@ TEST(ReliableQueue, CleanupSweepRevivesEagerly) {
   authority.SleepFor(Millis(60));
   EXPECT_EQ(queue.CleanupSweep(), 1u);
   EXPECT_EQ(queue.VisibleDepth(), 1u);
+}
+
+TEST(ReliableQueue, LongPollWakesOnSend) {
+  // A worker parked in a long poll must wake on the Send that races its
+  // park, whichever side wins: every round's message arrives long before
+  // the 20 s wait bound would end the poll.
+  TimeAuthority authority(1.0);
+  ReliableQueue queue(authority, FastConfig());
+  Rng rng(5);
+  for (int round = 0; round < 300; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    auto worker = std::async(std::launch::async, [&] { return queue.Receive(Seconds(20.0)); });
+    switch (rng.NextBelow(3)) {
+      case 0:
+        break;
+      case 1:
+        std::this_thread::yield();
+        break;
+      default:
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    queue.Send("m" + std::to_string(round));
+    ASSERT_EQ(worker.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "round " << round << ": the long poll missed the Send";
+    const auto message = worker.get();
+    ASSERT_TRUE(message.has_value()) << "round " << round;
+    EXPECT_EQ(message->body, "m" + std::to_string(round));
+    ASSERT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+        << "round " << round << ": the poll ended at its bound, not on the Send";
+    ASSERT_TRUE(queue.Delete(message->receipt).ok());
+  }
+}
+
+TEST(ReliableQueue, LongPollWakesOnSweepRevival) {
+  // An entry whose visibility timeout lapses while a worker long-polls
+  // becomes receivable when the cleanup sweep revives it; the sweep wakes
+  // the worker instead of leaving it parked for the whole wait.
+  TimeAuthority authority(1000.0);
+  ReliableQueueConfig config;
+  config.visibility_timeout = Seconds(100.0);  // 100 ms of real time
+  ReliableQueue queue(authority, config);
+  queue.Send("crashed handler");
+  ASSERT_TRUE(queue.Receive().has_value());  // in flight, never deleted
+  const auto start = std::chrono::steady_clock::now();
+  auto worker = std::async(std::launch::async, [&] {
+    return queue.Receive(Seconds(20000.0));  // 20 s of real time
+  });
+  // The worker parks long before the entry lapses; only the sweep that
+  // revives it can end the poll early.
+  while (queue.CleanupSweep() == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(worker.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+      << "the sweep did not wake the long poll";
+  const auto message = worker.get();
+  ASSERT_TRUE(message.has_value());
+  EXPECT_EQ(message->body, "crashed handler");
+  EXPECT_EQ(message->receive_count, 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+}
+
+TEST(ReliableQueue, LongPollTimesOutEmpty) {
+  TimeAuthority authority(1000.0);
+  ReliableQueue queue(authority, FastConfig());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(queue.Receive(Seconds(20.0)).has_value());  // 20 ms real
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(19));
 }
 
 TEST(ReliableQueue, PoisonMessagesGoToDeadLetters) {
