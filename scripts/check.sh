@@ -77,14 +77,20 @@ else
   # exactly what this build exists to catch). The rule index's delta
   # property test frees shared trie nodes on every step. The event store
   # keeps views that alias payload bytes, and its pages must outlive the
-  # rotation that frees their source batches.
+  # rotation that frees their source batches. Subscribers pass received
+  # batches through and copies outlive their originals: the shared bytes
+  # must stay alive exactly as long as a view reads them.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RoundTripsEveryFieldExactly \
                    V4RejectsTruncationAtEveryCut \
                    V4MutatedPayloadsNeverCrashAndStayStructurallySound \
                    WireV4.BindRejectsStructuralCorruption \
                    DeltasMatchFromScratchBuildsAndOldSnapshotsPersist \
-                   EventStore.PagesOutliveRotation; do
+                   EventStore.PagesOutliveRotation \
+                   RecoveringPassThrough.WhollyFreshBatchIsDeliveredWithTheMessagePayload \
+                   RecoveringPassThrough.PartlyStaleDeliveryYieldsExactlyTheFreshEventsInOrder \
+                   EventBatch.CopyReadsCorrectlyAfterTheOriginalIsDestroyed \
+                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -105,7 +111,8 @@ else
   # race every blocking wait's park against its wake: SPSC consumer and
   # producer, Close() on parked sides, the SQS long poll, and the fleet
   # subscriber's notifier (whose Signal/WaitPast handshake the poller
-  # race hammers).
+  # race hammers). The pass-through and batch-equivalence tests share one
+  # payload between the publisher, the subscriber and the agent.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -134,7 +141,11 @@ else
                    ReliableQueue.LongPollWakesOnSweepRevival \
                    FleetSubscriberWake.DeliveryToEitherShardWakesNextBatchFor \
                    FleetSubscriberWake.CloseWakesABlockedNextBatchFor \
-                   Poller.NoMissedWakeupRace; do
+                   Poller.NoMissedWakeupRace \
+                   RecoveringPassThrough.WhollyFreshBatchIsDeliveredWithTheMessagePayload \
+                   RecoveringPassThrough.PartlyStaleDeliveryYieldsExactlyTheFreshEventsInOrder \
+                   EventBatch.CopyReadsCorrectlyAfterTheOriginalIsDestroyed \
+                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

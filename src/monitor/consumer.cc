@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "monitor/wire_v4.h"
-
 namespace sdci::monitor {
 
 namespace {
@@ -31,21 +29,19 @@ Result<EventBatch> EventSubscriber::Filter(const msgq::Message& message) const {
   auto batch = EventBatch::FromPayload(message.payload);
   if (!batch.ok()) return batch.status();
   if (type_mask_ == kAllTypes) return batch;
-  // FromPayload validated these bytes, so Bind cannot fail here.
-  const auto view = wire::EventBatchView::Bind(*message.payload);
-  if (!view.ok()) return view.status();
+  const wire::EventBatchView& view = batch->view();
   const auto matches = [&](size_t i) {
-    return ((type_mask_ >> static_cast<int>(view->type(i))) & 1) != 0;
+    return ((type_mask_ >> static_cast<int>(view.type(i))) & 1) != 0;
   };
   size_t matching = 0;
-  for (size_t i = 0; i < view->size(); ++i) matching += matches(i) ? 1 : 0;
-  if (matching == view->size()) return batch;
+  for (size_t i = 0; i < view.size(); ++i) matching += matches(i) ? 1 : 0;
+  if (matching == view.size()) return batch;
   std::vector<FsEvent> events;
   events.reserve(matching);
-  for (size_t i = 0; i < view->size(); ++i) {
-    if (matches(i)) events.push_back((*view)[i].Materialize());
+  for (size_t i = 0; i < view.size(); ++i) {
+    if (matches(i)) events.push_back(view[i].Materialize());
   }
-  return EventBatch(std::move(events));
+  return EventBatch(events);
 }
 
 Result<EventBatch> EventSubscriber::ReceiveBatch(std::chrono::nanoseconds timeout) {
@@ -75,7 +71,7 @@ Result<EventBatch> EventSubscriber::NextBatchFor(std::chrono::nanoseconds timeou
     std::vector<FsEvent> events(pending_.rbegin(), pending_.rend());
     pending_.clear();
     received_ += events.size();
-    return EventBatch(std::move(events));
+    return EventBatch(events);
   }
   auto batch = ReceiveBatch(timeout);
   if (batch.ok()) received_ += batch->size();
@@ -91,8 +87,8 @@ Result<FsEvent> EventSubscriber::NextFor(std::chrono::nanoseconds timeout) {
     auto batch = ReceiveBatch(timeout);
     if (!batch.ok()) return batch.status();
     // Buffered reversed, so consumption pops the oldest from the back.
-    const std::vector<FsEvent>& events = batch->events();
-    pending_.assign(events.rbegin(), events.rend());
+    pending_ = batch->events();
+    std::reverse(pending_.begin(), pending_.end());
   }
   FsEvent event = std::move(pending_.back());
   pending_.pop_back();
@@ -208,20 +204,33 @@ Result<EventBatch> RecoveringSubscriber::PopReady() {
 }
 
 void RecoveringSubscriber::Ingest(const EventBatch& batch) {
+  const wire::EventBatchView& view = batch.view();
   uint64_t watermark = next_expected_.load(std::memory_order_relaxed);
   // Filter sequences already delivered — behind the watermark, or ahead of
   // it but seen out of order. What survives is fresh.
-  std::vector<FsEvent> fresh;
-  fresh.reserve(batch.size());
-  for (const FsEvent& event : batch.events()) {
-    if (watermark != 0 &&
-        (event.global_seq < watermark || ahead_.count(event.global_seq) > 0)) {
-      continue;
-    }
-    fresh.push_back(event);
+  const auto is_fresh = [&](size_t i) {
+    const uint64_t seq = view.global_seq(i);
+    return watermark == 0 || (seq >= watermark && ahead_.count(seq) == 0);
+  };
+  size_t first = view.size();
+  size_t fresh_count = 0;
+  for (size_t i = 0; i < view.size(); ++i) {
+    if (!is_fresh(i)) continue;
+    if (fresh_count++ == 0) first = i;
   }
-  if (fresh.empty()) return;
-  const uint64_t min_seq = fresh.front().global_seq;
+  if (fresh_count == 0) return;
+  // A wholly fresh batch is delivered as received, sharing its bytes; only
+  // a partly stale one is rebuilt from its fresh events.
+  EventBatch fresh = batch;
+  if (fresh_count < view.size()) {
+    std::vector<FsEvent> events;
+    events.reserve(fresh_count);
+    for (size_t i = first; i < view.size(); ++i) {
+      if (is_fresh(i)) events.push_back(view[i].Materialize());
+    }
+    fresh = EventBatch(events);
+  }
+  const uint64_t min_seq = view.global_seq(first);
   if (watermark == 0) {
     // start_seq 0: adopt the stream where we joined it.
     watermark = min_seq;
@@ -233,8 +242,8 @@ void RecoveringSubscriber::Ingest(const EventBatch& batch) {
     gaps_detected_->Add();
     BackfillGap(min_seq);
   }
-  Advance(fresh);
-  ready_.push_back(EventBatch(std::move(fresh)));
+  Advance(fresh.view());
+  ready_.push_back(std::move(fresh));
 }
 
 void RecoveringSubscriber::BackfillGap(uint64_t to) {
@@ -290,7 +299,7 @@ void RecoveringSubscriber::BackfillGap(uint64_t to) {
     }
     cursor = events.back().global_seq + 1;
     events_backfilled_->Add(events.size());
-    ready_.push_back(EventBatch(std::move(events)));
+    ready_.push_back(EventBatch(events));
   }
   // The gap is resolved (backfilled or written off): move the watermark to
   // the live message that exposed it, consuming any out-of-order
@@ -304,13 +313,14 @@ void RecoveringSubscriber::BackfillGap(uint64_t to) {
   next_expected_.store(watermark, std::memory_order_relaxed);
 }
 
-void RecoveringSubscriber::Advance(const std::vector<FsEvent>& events) {
+void RecoveringSubscriber::Advance(const wire::EventBatchView& view) {
   uint64_t watermark = next_expected_.load(std::memory_order_relaxed);
-  for (const FsEvent& event : events) {
-    if (event.global_seq == watermark) {
+  for (size_t i = 0; i < view.size(); ++i) {
+    const uint64_t seq = view.global_seq(i);
+    if (seq == watermark) {
       ++watermark;
-    } else if (event.global_seq > watermark) {
-      ahead_.insert(event.global_seq);
+    } else if (seq > watermark) {
+      ahead_.insert(seq);
     }
   }
   while (!ahead_.empty() && *ahead_.begin() == watermark) {

@@ -155,7 +155,9 @@ class RecoveringSubscriber {
 
   // Next batch: backfilled events first, then live ones (blocking / with
   // real-time timeout). A zero or spent timeout still takes a live message
-  // that is already queued.
+  // that is already queued. A live batch with no stale event is the
+  // received batch itself (same payload bytes); a partly stale one is
+  // re-encoded from its fresh events, as are backfilled history pages.
   Result<EventBatch> NextBatch();
   Result<EventBatch> NextBatchFor(std::chrono::nanoseconds timeout);
 
@@ -195,7 +197,7 @@ class RecoveringSubscriber {
   // Pages [next_expected_, to) out of the history API into ready_.
   void BackfillGap(uint64_t to);
   // Advances the watermark over delivered sequences.
-  void Advance(const std::vector<FsEvent>& events);
+  void Advance(const wire::EventBatchView& view);
   Result<EventBatch> PopReady();
 
   EventSubscriber live_;

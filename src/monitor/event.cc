@@ -1,7 +1,8 @@
 #include "monitor/event.h"
 
+#include <utility>
+
 #include "common/strings.h"
-#include "monitor/wire_v4.h"
 
 namespace sdci::monitor {
 
@@ -87,103 +88,29 @@ std::string EventTopic(lustre::ChangeLogType type) {
 
 // ---------- EventBatch ----------
 
-struct EventBatch::Rep {
-  // Exactly one of {events, payload} is the authoritative side at
-  // construction; the other is derived lazily, at most once, via its
-  // once_flag. `count` is snapshotted up front so size() never forces
-  // a materialization. `view` is bound over `payload` whenever that is
-  // set. A decode-side batch has both from construction, so reading them
-  // needs no once_flag.
-  bool encode_side = false;
-  mutable std::vector<FsEvent> events;
-  mutable std::shared_ptr<const std::string> payload;
-  mutable wire::EventBatchView view;
-  mutable std::once_flag encode_once;
-  mutable std::once_flag decode_once;
-  // True once `events` is populated (acquire pairs with the call_once
-  // publisher, so readers skip the once_flag on the fast path).
-  mutable std::atomic<bool> has_events{false};
-  size_t count = 0;
-};
-
-EventBatch::EventBatch(std::vector<FsEvent> events) {
-  auto rep = std::make_shared<Rep>();
-  rep->encode_side = true;
-  rep->events = std::move(events);
-  rep->count = rep->events.size();
-  rep->has_events.store(true, std::memory_order_release);
-  rep_ = std::move(rep);
-}
+EventBatch::EventBatch(const std::vector<FsEvent>& events)
+    : payload_(std::make_shared<const std::string>(EncodeEventBatch(events))),
+      view_(wire::EventBatchView::OfEncoded(*payload_)) {}
 
 Result<EventBatch> EventBatch::FromPayload(std::shared_ptr<const std::string> payload) {
   if (payload == nullptr) return InvalidArgumentError("null event batch payload");
-  // Validate in place, materialize nothing. The events are decoded lazily
-  // on the first events() call — never, for a batch that only transits
-  // queues and the publish socket.
   auto view = wire::EventBatchView::Bind(*payload);
   if (!view.ok()) return view.status();
   if (view->empty()) return InvalidArgumentError("zero-event batch on the wire");
   return EventBatch(std::move(payload), *view);
 }
 
-EventBatch::EventBatch(std::shared_ptr<const std::string> payload,
-                       const wire::EventBatchView& view) {
-  auto rep = std::make_shared<Rep>();
-  rep->count = view.size();
-  rep->payload = std::move(payload);
-  rep->view = view;
-  rep_ = std::move(rep);
-}
-
 Result<EventBatch> EventBatch::FromPayload(std::string payload) {
   return FromPayload(std::make_shared<const std::string>(std::move(payload)));
 }
 
-const std::vector<FsEvent>& EventBatch::events() const noexcept {
-  static const std::vector<FsEvent> kEmpty;
-  if (rep_ == nullptr) return kEmpty;
-  if (!rep_->has_events.load(std::memory_order_acquire)) {
-    // Materialize the validated v4 payload, at most once, even when
-    // pipeline threads race here.
-    std::call_once(rep_->decode_once, [this] {
-      rep_->events = rep_->view.Materialize();
-      rep_->has_events.store(true, std::memory_order_release);
-    });
-  }
-  return rep_->events;
-}
+EventBatch::EventBatch(EventBatch&& other) noexcept
+    : payload_(std::move(other.payload_)), view_(std::exchange(other.view_, {})) {}
 
-size_t EventBatch::size() const noexcept {
-  return rep_ == nullptr ? 0 : rep_->count;
-}
-
-std::shared_ptr<const std::string> EventBatch::payload() const {
-  if (rep_ == nullptr) {
-    return std::make_shared<const std::string>(EncodeEventBatch({}));
-  }
-  if (!rep_->encode_side) return rep_->payload;
-  // call_once (not a bare null check) so concurrent pipeline threads cannot
-  // race the lazy encode; once encoded the payload never changes.
-  std::call_once(rep_->encode_once, [this] {
-    rep_->payload = std::make_shared<const std::string>(EncodeEventBatch(rep_->events));
-    rep_->view = wire::EventBatchView::OfEncoded(*rep_->payload);
-  });
-  return rep_->payload;
-}
-
-const wire::EventBatchView& EventBatch::view() const {
-  static const wire::EventBatchView kEmpty;
-  if (rep_ == nullptr) return kEmpty;
-  if (rep_->encode_side) (void)payload();  // binds the view as it encodes
-  return rep_->view;
-}
-
-std::shared_ptr<const std::string> EventBatch::FlatPayloadV4() const noexcept {
-  // Decode-side batches set rep_->payload at construction; encode-side
-  // batches leave it null until payload() runs, so this never races the
-  // lazy encode.
-  if (rep_ == nullptr) return nullptr;
-  return rep_->payload;
+EventBatch& EventBatch::operator=(EventBatch&& other) noexcept {
+  payload_ = std::move(other.payload_);
+  view_ = std::exchange(other.view_, {});
+  return *this;
 }
 
 }  // namespace sdci::monitor

@@ -6,17 +6,18 @@
 // msgq messages; two codecs are provided: the flat v4 binary layout (the
 // one wire format) and JSON (the historic-events API).
 //
-// EventBatch is the unit the pipeline moves: an immutable set of events
-// plus its wire encoding, both shared by reference. A batch is encoded at
-// most once (lazily, on first payload() use) and decoded at most once per
-// process; every hand-off after that — msgq fan-out, the aggregator's
-// publish/store queues, consumer delivery — shares the same bytes.
+// EventBatch is the unit the pipeline moves, and it has one
+// representation: refcounted v4 bytes plus the EventBatchView bound over
+// them. A producer's FsEvents are encoded once, when the batch is built; a
+// received payload is validated once and shared. Every hand-off after that
+// — msgq fan-out, the aggregator's publish/store queues, subscriber
+// delivery, the agent's rule filter — reads those same bytes in place.
+// Owning FsEvents exist only at the edges that ask for them (events(): the
+// history API's JSON, tests).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,12 +28,9 @@
 #include "common/status.h"
 #include "lustre/changelog.h"
 #include "lustre/fid.h"
+#include "monitor/wire_v4.h"
 
 namespace sdci::monitor {
-
-namespace wire {
-class EventBatchView;
-}  // namespace wire
 
 struct FsEvent {
   // Provenance.
@@ -96,61 +94,54 @@ std::string EventTopic(lustre::ChangeLogType type);
 // prefix receives nothing rather than a silently partial stream.
 inline constexpr std::string_view kEventStreamTopic = "fsevent.";
 
-// An immutable batch of events with a shared, at-most-once-computed wire
-// encoding. Copying an EventBatch is two reference-count bumps: the decoded
-// events and the encoded payload are shared, never duplicated. This is what
-// travels through the aggregator's internal queues and what producers /
-// consumers hand to msgq (the message payload IS the batch's payload
-// pointer, so PUB fan-out to N subscribers moves zero bytes).
+// An immutable batch of events: a reference on its v4 wire bytes and the
+// view bound over them. Copying an EventBatch is one reference-count bump;
+// the bytes are never duplicated. This is what travels through the
+// aggregator's internal queues and what producers / consumers hand to msgq
+// (the message payload IS the batch's payload pointer, so PUB fan-out to
+// N subscribers moves zero bytes). A moved-from batch is empty.
 class EventBatch {
  public:
-  EventBatch() = default;  // empty batch
+  EventBatch() = default;  // empty batch; payload() is null
 
-  // Encode-side construction (Collector, subscriber filtering). The wire
-  // encoding is computed lazily on the first payload() call and cached.
-  explicit EventBatch(std::vector<FsEvent> events);
+  // Encodes `events` now (Collector, subscriber filtering, backfill).
+  explicit EventBatch(const std::vector<FsEvent>& events);
 
-  // Decode-side construction: validates the wire bytes and shares (not
-  // copies) them as the batch's encoding. Rejects malformed payloads and
-  // zero-event batches (a wire message carries >= 1 event). Validation is
-  // an in-place scan and NO events are materialized: size() is answered
-  // from the flat layout, and the owning FsEvents exist only once
-  // a consumer first calls events(). The store keeps the bytes and
-  // materializes only the pages its history API returns.
+  // Validates the wire bytes and shares (not copies) them. Rejects
+  // malformed payloads and zero-event batches (a wire message carries >= 1
+  // event). Validation is an in-place scan; no event is materialized.
   static Result<EventBatch> FromPayload(std::shared_ptr<const std::string> payload);
   static Result<EventBatch> FromPayload(std::string payload);
 
-  // Owning events; for a decode-side batch the first call materializes
-  // them (thread-safe, at most once per batch).
-  [[nodiscard]] const std::vector<FsEvent>& events() const noexcept;
-  [[nodiscard]] size_t size() const noexcept;
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  EventBatch(const EventBatch&) = default;
+  EventBatch& operator=(const EventBatch&) = default;
+  EventBatch(EventBatch&& other) noexcept;
+  EventBatch& operator=(EventBatch&& other) noexcept;
 
-  // The encoded wire bytes; encoded on first call, shared thereafter.
-  // Thread-safe (batches are shared across pipeline threads).
-  [[nodiscard]] std::shared_ptr<const std::string> payload() const;
+  [[nodiscard]] size_t size() const noexcept { return view_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return view_.empty(); }
 
-  // The validated v4 wire bytes backing this batch, or null while it has
-  // none (an encode-side batch before its first payload() call). Never
-  // triggers an encode or a materialization:
-  // zero-copy consumers (the agent's rule filter) Bind an EventBatchView
-  // over these bytes and read paths as string_views in place.
-  [[nodiscard]] std::shared_ptr<const std::string> FlatPayloadV4() const noexcept;
+  // The v4 wire bytes.
+  [[nodiscard]] const std::shared_ptr<const std::string>& payload() const noexcept {
+    return payload_;
+  }
+  // Alias of payload().
+  [[nodiscard]] const std::shared_ptr<const std::string>& FlatPayloadV4() const noexcept {
+    return payload_;
+  }
+  // The view over payload(): every field is an O(1) read in place.
+  [[nodiscard]] const wire::EventBatchView& view() const noexcept { return view_; }
 
-  // The view over payload(), bound once: by FromPayload's validation, or
-  // at encode for an encode-side batch (encoding it first if needed).
-  // Never re-validates and never materializes.
-  [[nodiscard]] const wire::EventBatchView& view() const;
+  // Materializes owning copies of the events: an edge call that decodes
+  // the whole batch afresh on every call. Pipeline stages read view().
+  [[nodiscard]] std::vector<FsEvent> events() const { return view_.Materialize(); }
 
  private:
-  friend class EventStore;  // rebuilds batches from the bytes it retains
-  struct Rep;  // event.cc
+  EventBatch(std::shared_ptr<const std::string> payload, wire::EventBatchView view) noexcept
+      : payload_(std::move(payload)), view_(view) {}
 
-  // A decode-side batch over `payload`, whose view the caller bound
-  // before (no second validation pass).
-  EventBatch(std::shared_ptr<const std::string> payload, const wire::EventBatchView& view);
-
-  std::shared_ptr<const Rep> rep_;
+  std::shared_ptr<const std::string> payload_;
+  wire::EventBatchView view_;  // bound over *payload_
 };
 
 }  // namespace sdci::monitor

@@ -21,22 +21,17 @@ size_t PartitionIndex(const wire::EventBatchView& view, size_t begin, Below belo
 EventStore::EventStore(size_t max_events)
     : max_events_(max_events == 0 ? 1 : max_events) {}
 
-EventStore::Entry EventStore::EntryOf(const EventBatch& batch) {
-  return {batch.payload(), batch.view()};
-}
-
-int64_t EventStore::AppendLocked(Entry entry) {
-  int64_t bytes = static_cast<int64_t>(Bytes(entry));
-  event_count_ += entry.view.size();
-  total_appended_ += entry.view.size();
-  entries_.push_back(std::move(entry));
+int64_t EventStore::AppendLocked(const EventBatch& batch) {
+  int64_t bytes = static_cast<int64_t>(Bytes(batch));
+  event_count_ += batch.size();
+  total_appended_ += batch.size();
+  batches_.push_back(batch);
   // Rotate whole batches, always retaining at least max_events_: the
   // window's oldest events may sit mid-way into the front batch.
-  while (entries_.size() > 1 &&
-         event_count_ - entries_.front().view.size() >= max_events_) {
-    bytes -= static_cast<int64_t>(Bytes(entries_.front()));
-    event_count_ -= entries_.front().view.size();
-    entries_.pop_front();
+  while (batches_.size() > 1 && event_count_ - batches_.front().size() >= max_events_) {
+    bytes -= static_cast<int64_t>(Bytes(batches_.front()));
+    event_count_ -= batches_.front().size();
+    batches_.pop_front();
     if (time_checked_ > 0) --time_checked_;
   }
   return bytes;
@@ -53,9 +48,8 @@ void EventStore::CommitLocked(int64_t bytes) {
 
 void EventStore::Append(const EventBatch& batch) {
   if (batch.empty()) return;
-  Entry entry = EntryOf(batch);  // encodes an encode-side batch, unlocked
   const std::lock_guard<std::mutex> lock(mutex_);
-  CommitLocked(AppendLocked(std::move(entry)));
+  CommitLocked(AppendLocked(batch));
 }
 
 void EventStore::AppendGroup(const std::vector<EventBatch>& batches) {
@@ -64,7 +58,7 @@ void EventStore::AppendGroup(const std::vector<EventBatch>& batches) {
   int64_t bytes = 0;
   for (const EventBatch& batch : batches) {
     if (batch.empty()) continue;
-    bytes += AppendLocked(EntryOf(batch));
+    bytes += AppendLocked(batch);
     appended = true;
   }
   if (appended) CommitLocked(bytes);
@@ -72,20 +66,20 @@ void EventStore::AppendGroup(const std::vector<EventBatch>& batches) {
 
 size_t EventStore::HiddenLocked() const noexcept {
   // Rotation keeps event_count_ - front size < max_events_ (or a single
-  // entry), so every hidden event lies in the front entry.
+  // batch), so every hidden event lies in the front batch.
   return event_count_ > max_events_ ? event_count_ - max_events_ : 0;
 }
 
 uint64_t EventStore::FirstSeqLocked() const noexcept {
-  return entries_.empty() ? 0 : entries_.front().view.global_seq(HiddenLocked());
+  return batches_.empty() ? 0 : batches_.front().view().global_seq(HiddenLocked());
 }
 
 void EventStore::CheckTimeOrderLocked() const {
-  for (; time_monotone_ && time_checked_ < entries_.size(); ++time_checked_) {
-    const wire::EventBatchView& view = entries_[time_checked_].view;
+  for (; time_monotone_ && time_checked_ < batches_.size(); ++time_checked_) {
+    const wire::EventBatchView& view = batches_[time_checked_].view();
     VirtualTime prev = view.time(0);
     if (time_checked_ > 0) {
-      const wire::EventBatchView& before = entries_[time_checked_ - 1].view;
+      const wire::EventBatchView& before = batches_[time_checked_ - 1].view();
       prev = before.time(before.size() - 1);
     }
     for (size_t i = 0; i < view.size(); ++i) {
@@ -105,7 +99,7 @@ std::vector<FsEvent> EventStore::Materialize(const std::vector<Slice>& slices) {
   out.reserve(total);
   for (const Slice& slice : slices) {
     for (size_t i = slice.begin; i < slice.end; ++i) {
-      out.push_back(slice.entry.view[i].Materialize());
+      out.push_back(slice.batch.view()[i].Materialize());
     }
   }
   return out;
@@ -117,16 +111,16 @@ std::vector<FsEvent> EventStore::Query(uint64_t from_seq, size_t max,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (first_available != nullptr) *first_available = FirstSeqLocked();
-    // The first entry whose newest sequence reaches from_seq; every later
-    // entry matches whole.
-    auto it = std::partition_point(entries_.begin(), entries_.end(), [&](const Entry& e) {
-      return e.view.global_seq(e.view.size() - 1) < from_seq;
+    // The first batch whose newest sequence reaches from_seq; every later
+    // batch matches whole.
+    auto it = std::partition_point(batches_.begin(), batches_.end(), [&](const EventBatch& b) {
+      return b.view().global_seq(b.size() - 1) < from_seq;
     });
     size_t taken = 0;
-    for (; it != entries_.end() && taken < max; ++it) {
-      const wire::EventBatchView& view = it->view;
+    for (; it != batches_.end() && taken < max; ++it) {
+      const wire::EventBatchView& view = it->view();
       const size_t begin =
-          PartitionIndex(view, it == entries_.begin() ? HiddenLocked() : 0,
+          PartitionIndex(view, it == batches_.begin() ? HiddenLocked() : 0,
                          [&](size_t i) { return view.global_seq(i) < from_seq; });
       const size_t end = std::min(view.size(), begin + (max - taken));
       slices.push_back({*it, begin, end});
@@ -146,15 +140,15 @@ std::vector<FsEvent> EventStore::QueryTimeRange(VirtualTime from, VirtualTime to
     size_t taken = 0;
     if (time_monotone_) {
       // Appends have stayed time-sorted: binary search for the range start
-      // (first the entry, then within it), and stop at the first event
+      // (first the batch, then within it), and stop at the first event
       // past `to`.
-      auto it = std::partition_point(entries_.begin(), entries_.end(), [&](const Entry& e) {
-        return e.view.time(e.view.size() - 1) < from;
+      auto it = std::partition_point(batches_.begin(), batches_.end(), [&](const EventBatch& b) {
+        return b.view().time(b.size() - 1) < from;
       });
-      for (; it != entries_.end() && taken < max; ++it) {
-        const wire::EventBatchView& view = it->view;
+      for (; it != batches_.end() && taken < max; ++it) {
+        const wire::EventBatchView& view = it->view();
         const size_t begin =
-            PartitionIndex(view, it == entries_.begin() ? hidden : 0,
+            PartitionIndex(view, it == batches_.begin() ? hidden : 0,
                            [&](size_t i) { return view.time(i) < from; });
         const size_t end =
             PartitionIndex(view, begin, [&](size_t i) { return view.time(i) < to; });
@@ -164,12 +158,12 @@ std::vector<FsEvent> EventStore::QueryTimeRange(VirtualTime from, VirtualTime to
         if (end < view.size()) break;  // reached `to`
       }
     } else {
-      for (auto it = entries_.begin(); it != entries_.end() && taken < max; ++it) {
-        const wire::EventBatchView& view = it->view;
-        for (size_t i = it == entries_.begin() ? hidden : 0;
+      for (auto it = batches_.begin(); it != batches_.end() && taken < max; ++it) {
+        const wire::EventBatchView& view = it->view();
+        for (size_t i = it == batches_.begin() ? hidden : 0;
              i < view.size() && taken < max; ++i) {
           if (view.time(i) < from || view.time(i) >= to) continue;
-          if (!slices.empty() && slices.back().entry.payload == it->payload &&
+          if (!slices.empty() && slices.back().batch.payload() == it->payload() &&
               slices.back().end == i) {
             ++slices.back().end;
           } else {
@@ -185,10 +179,7 @@ std::vector<FsEvent> EventStore::QueryTimeRange(VirtualTime from, VirtualTime to
 
 std::vector<EventBatch> EventStore::Snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<EventBatch> out;
-  out.reserve(entries_.size());
-  for (const Entry& entry : entries_) out.push_back(EventBatch(entry.payload, entry.view));
-  return out;
+  return {batches_.begin(), batches_.end()};
 }
 
 uint64_t EventStore::FirstSeq() const {
@@ -198,8 +189,8 @@ uint64_t EventStore::FirstSeq() const {
 
 uint64_t EventStore::LastSeq() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (entries_.empty()) return 0;
-  const wire::EventBatchView& view = entries_.back().view;
+  if (batches_.empty()) return 0;
+  const wire::EventBatchView& view = batches_.back().view();
   return view.global_seq(view.size() - 1);
 }
 

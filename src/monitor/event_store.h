@@ -7,9 +7,9 @@
 // long as it comes back before its gap rotates out.
 //
 // The store is a log of the sequenced v4 batches it is handed, under one
-// lock: each entry is a reference on the batch's payload bytes plus the
-// EventBatchView already bound over them, so an append copies no event
-// and re-validates nothing. A query copies the matching entries'
+// lock: an entry is the EventBatch itself (a reference on its payload
+// bytes plus the view already bound over them), so an append copies no
+// event and re-validates nothing. A query copies the matching batches'
 // references under the lock and materializes only the returned page,
 // outside it; a page therefore stays valid however far rotation moves on
 // meanwhile. The same class is the aggregator's checkpoint WAL
@@ -23,9 +23,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/resource.h"
@@ -39,8 +37,8 @@ class EventStore {
   // `max_events` == 0 is treated as 1.
   explicit EventStore(size_t max_events);
 
-  // Appends one batch; an encode-side batch is encoded (once) first.
-  // Empty batches are ignored. Sequences must not decrease from one
+  // Appends one batch (a reference: no copy, no re-validation). Empty
+  // batches are ignored. Sequences must not decrease from one
   // append to the next (the sequencer's order).
   void Append(const EventBatch& batch);
 
@@ -78,31 +76,26 @@ class EventStore {
   [[nodiscard]] uint64_t Commits() const;  // lock acquisitions that appended
   [[nodiscard]] size_t max_events() const noexcept { return max_events_; }
 
-  // Charged per retained entry: the entry and its payload bytes.
+  // Charged per retained batch: the batch and its payload bytes.
   [[nodiscard]] const MemoryAccountant& memory() const noexcept { return memory_; }
 
  private:
-  struct Entry {
-    std::shared_ptr<const std::string> payload;
-    wire::EventBatchView view;  // bound over *payload
-  };
-  // Events [begin, end) of one entry; holds the payload alive until the
+  // Events [begin, end) of one batch; holds the payload alive until the
   // page is materialized.
   struct Slice {
-    Entry entry;
+    EventBatch batch;
     size_t begin, end;
   };
 
-  [[nodiscard]] static Entry EntryOf(const EventBatch& batch);
-  [[nodiscard]] static uint64_t Bytes(const Entry& entry) noexcept {
-    return sizeof(Entry) + entry.payload->capacity();
+  [[nodiscard]] static uint64_t Bytes(const EventBatch& batch) noexcept {
+    return sizeof(EventBatch) + batch.payload()->capacity();
   }
-  // Appends a non-empty entry and rotates; returns the bytes retained
+  // Appends a non-empty batch and rotates; returns the bytes retained
   // minus the bytes freed.
-  int64_t AppendLocked(Entry entry);
+  int64_t AppendLocked(const EventBatch& batch);
   // Counts one commit and books its bytes with the accountant.
   void CommitLocked(int64_t bytes);
-  // Events at the head of the front entry that lie outside the window.
+  // Events at the head of the front batch that lie outside the window.
   [[nodiscard]] size_t HiddenLocked() const noexcept;
   [[nodiscard]] uint64_t FirstSeqLocked() const noexcept;
   void CheckTimeOrderLocked() const;
@@ -110,11 +103,11 @@ class EventStore {
 
   const size_t max_events_;
   mutable std::mutex mutex_;
-  std::deque<Entry> entries_;  // ordered by global_seq
-  size_t event_count_ = 0;     // events in entries_, hidden ones included
+  std::deque<EventBatch> batches_;  // ordered by global_seq
+  size_t event_count_ = 0;          // events in batches_, hidden ones included
   uint64_t total_appended_ = 0;
   uint64_t commits_ = 0;
-  // Time order of the retained events: entries_[0, time_checked_) have
+  // Time order of the retained events: batches_[0, time_checked_) have
   // been checked, and time_monotone_ turns false for good at the first
   // regression.
   mutable bool time_monotone_ = true;

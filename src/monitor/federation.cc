@@ -234,9 +234,7 @@ Result<EventBatch> FleetSubscriber::NextBatchFor(std::chrono::nanoseconds timeou
       // at this boundary; only a merge bug could unbalance the row).
       if (merged_in_ != nullptr) merged_in_->Add(batch->size());
       if (merged_out_ != nullptr) merged_out_->Add(batch->size());
-      if (wm_merge_ != nullptr && !batch->events().empty()) {
-        wm_merge_->Advance(batch->events().back().time);
-      }
+      if (wm_merge_ != nullptr) wm_merge_->Advance(batch->view().time(batch->size() - 1));
       return batch;
     }
     if (batch.status().code() == StatusCode::kClosed) return batch.status();
@@ -272,9 +270,8 @@ Result<EventBatch> FleetSubscriber::DrainMergedFor(std::chrono::nanoseconds time
       }
       auto batch = shards_[shard]->NextBatchFor(std::chrono::nanoseconds(0));
       if (!batch.ok()) continue;  // timeout or closed: this shard is quiet
-      const auto& events = batch->events();
-      if (merged_in_ != nullptr) merged_in_->Add(events.size());
-      runs[shard].insert(runs[shard].end(), events.begin(), events.end());
+      if (merged_in_ != nullptr) merged_in_->Add(batch->size());
+      for (FsEvent& event : batch->events()) runs[shard].push_back(std::move(event));
       round_got_events = true;
       any = true;
     }
@@ -287,9 +284,7 @@ Result<EventBatch> FleetSubscriber::DrainMergedFor(std::chrono::nanoseconds time
   if (!any) return TimedOutError("no events before deadline");
   EventBatch merged(MergeByHlc(std::move(runs)));
   if (merged_out_ != nullptr) merged_out_->Add(merged.size());
-  if (wm_merge_ != nullptr && !merged.events().empty()) {
-    wm_merge_->Advance(merged.events().back().time);
-  }
+  if (wm_merge_ != nullptr) wm_merge_->Advance(merged.view().time(merged.size() - 1));
   return merged;
 }
 

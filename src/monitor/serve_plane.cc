@@ -79,12 +79,12 @@ void ServePlane::PublishLoop() {
         if (discarded_ != nullptr) discarded_->Add(batch.size());
         continue;
       }
-      // payload() encodes the batch once; fan-out below shares those bytes
-      // across every subscriber queue. Per-event bookkeeping (delivery
-      // latency, trace spans, watermark) reads through the view bound
-      // when the sequencer validated the batch, so publishing neither
-      // re-validates nor materializes owning FsEvents.
-      const std::shared_ptr<const std::string> payload = batch.payload();
+      // The message carries the batch's own payload reference; fan-out
+      // below shares those bytes across every subscriber queue. Per-event
+      // bookkeeping (delivery latency, trace spans, watermark) reads
+      // through the view bound when the sequencer validated the batch, so
+      // publishing neither re-validates nor materializes owning FsEvents.
+      const std::shared_ptr<const std::string>& payload = batch.payload();
       const wire::EventBatchView& view = batch.view();
       const VirtualTime now = authority_->Now();
       const size_t count = view.size();

@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "lustre/changelog.h"
+#include "monitor/event.h"
 
 namespace sdci::monitor::wire {
 

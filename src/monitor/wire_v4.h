@@ -38,10 +38,16 @@
 #include <string_view>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/hlc.h"
 #include "common/serde.h"
 #include "common/status.h"
-#include "monitor/event.h"
+#include "lustre/changelog.h"
+#include "lustre/fid.h"
+
+namespace sdci::monitor {
+struct FsEvent;  // monitor/event.h, which includes this header
+}  // namespace sdci::monitor
 
 namespace sdci::monitor::wire {
 

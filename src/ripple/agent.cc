@@ -212,21 +212,7 @@ void Agent::DeliverEvent(const monitor::FsEvent& event, const RuleIndex& index) 
 }
 
 void Agent::DeliverBatch(const monitor::EventBatch& batch) {
-  // Batches that arrived as wire bytes are filtered in place: paths probe
-  // the index as string_views into the payload, and only matching (or
-  // traced) events ever materialize an FsEvent. A batch with no wire bytes
-  // yet (built from FsEvents and never encoded) takes the per-event path.
-  if (const auto payload = batch.FlatPayloadV4()) {
-    auto view = monitor::wire::EventBatchView::Bind(*payload);
-    if (view.ok()) {
-      DeliverBatchView(*view);
-      return;
-    }
-  }
-  const auto index = rule_index_.Acquire();
-  for (const monitor::FsEvent& event : batch.events()) {
-    DeliverEvent(event, *index);
-  }
+  DeliverBatchView(batch.view());
 }
 
 void Agent::DeliverBatchView(const monitor::wire::EventBatchView& view) {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/tracing.h"
+#include "monitor/event.h"
 #include "ripple/agent.h"
 #include "ripple/cloud.h"
 
@@ -515,6 +518,109 @@ TEST_F(CloudAgentTest, ConcurrentRuleMutationsKeepAgentFiltersInStep) {
     for (const Rule& rule : cloud.RulesForWatchAgent(names[i])) expect.push_back(rule.id);
     std::sort(expect.begin(), expect.end());
     EXPECT_EQ(agents[i]->RuleFilterIds(), expect) << "agent " << names[i];
+  }
+}
+
+TEST_F(CloudAgentTest, BatchDeliveryMatchesPerEventDelivery) {
+  // DeliverBatch (the event thread's path: rules probed against the wire
+  // view) and DeliverEvent (the inotify watcher's path: one FsEvent at a
+  // time) must be indistinguishable. Two agents with the same rules get
+  // the same randomized events, some traced, one way each; they must
+  // count the same, record the same spans and report the same events,
+  // parent spans included (the reports come back as the actions they
+  // trigger, each carrying its reported event).
+  constexpr auto kTypes = static_cast<uint64_t>(lustre::ChangeLogType::kAtime) + 1;
+  const std::vector<std::string> dirs = {"/proj/a", "/proj/a/deep", "/proj/b", "/scratch"};
+  Rng rng(20261020);
+  std::vector<monitor::FsEvent> events;
+  for (uint64_t seq = 1; seq <= 500; ++seq) {
+    monitor::FsEvent event;
+    event.mdt_index = static_cast<int>(rng.NextBelow(4));
+    event.record_index = seq;
+    event.global_seq = seq;
+    event.type = static_cast<lustre::ChangeLogType>(rng.NextBelow(kTypes));
+    event.time = Micros(static_cast<int64_t>(seq));
+    const std::string& dir = dirs[rng.NextBelow(dirs.size())];
+    event.name = "f" + std::to_string(rng.NextBelow(40)) + (rng.NextBool(0.5) ? ".h5" : ".txt");
+    event.path = dir + "/" + event.name;
+    if (event.type == lustre::ChangeLogType::kRename) event.source_path = dir + "/old";
+    if (rng.NextBool(0.3)) {
+      event.trace_id = 1 + rng.NextBelow(1000);
+      event.parent_span = 1 + rng.NextBelow(1000);
+    }
+    events.push_back(std::move(event));
+  }
+  std::vector<Rule> rules;
+  rules.push_back(EmailRule("h5", "hpc", "/proj/**"));
+  rules.back().trigger.event_mask = kCreated | kModified;
+  rules.back().trigger.name_suffix = ".h5";
+  rules.push_back(EmailRule("scratch", "hpc", "/scratch/*"));
+  rules.back().trigger.event_mask = kDeleted | kRenamed;
+  rules.push_back(EmailRule("deep", "hpc", "/proj/a/deep/**"));
+  rules.back().trigger.event_mask = kAnyEvent;
+
+  struct Side {
+    std::shared_ptr<trace::TraceCollector> spans = std::make_shared<trace::TraceCollector>();
+    std::unique_ptr<CloudService> cloud;
+    std::unique_ptr<Agent> agent;
+  };
+  const auto make_side = [&] {
+    Side side;
+    side.cloud = std::make_unique<CloudService>(authority_, FastCloud());
+    AgentConfig config;
+    config.name = "hpc";
+    config.report_backoff = Millis(1);
+    config.tracer = std::make_shared<trace::Tracer>(side.spans, 0.0);
+    side.agent = std::make_unique<Agent>(config, fs_, *side.cloud, endpoints_, authority_);
+    for (const Rule& rule : rules) EXPECT_TRUE(side.cloud->RegisterRule(rule).ok());
+    return side;
+  };
+  Side per_event = make_side();
+  Side batched = make_side();
+  for (const monitor::FsEvent& event : events) per_event.agent->DeliverEvent(event);
+  batched.agent->DeliverBatch(monitor::EventBatch(events));
+
+  const AgentStats a = per_event.agent->Stats();
+  const AgentStats b = batched.agent->Stats();
+  EXPECT_EQ(a.events_seen, events.size());
+  EXPECT_EQ(b.events_seen, a.events_seen);
+  EXPECT_EQ(b.events_matched, a.events_matched);
+  EXPECT_EQ(b.events_reported, a.events_reported);
+  EXPECT_EQ(b.report_failures, a.report_failures);
+  EXPECT_GT(a.events_matched, 0u);
+  EXPECT_LT(a.events_matched, events.size());
+
+  for (Side* side : {&per_event, &batched}) {
+    side->cloud->PumpUntilQuiet();
+    side->agent->DrainActions();
+  }
+  const auto actions_a = per_event.agent->action_log().Entries();
+  const auto actions_b = batched.agent->action_log().Entries();
+  ASSERT_EQ(actions_b.size(), actions_a.size());
+  size_t traced = 0;
+  for (size_t i = 0; i < actions_a.size(); ++i) {
+    const monitor::FsEvent& x = actions_a[i].request.event;
+    const monitor::FsEvent& y = actions_b[i].request.event;
+    EXPECT_EQ(actions_b[i].request.rule_id, actions_a[i].request.rule_id) << i;
+    EXPECT_EQ(y.global_seq, x.global_seq) << i;
+    EXPECT_EQ(y.type, x.type) << i;
+    EXPECT_EQ(y.path, x.path) << i;
+    EXPECT_EQ(y.source_path, x.source_path) << i;
+    EXPECT_EQ(y.trace_id, x.trace_id) << i;
+    EXPECT_EQ(y.parent_span, x.parent_span) << i;
+    traced += x.trace_id != 0 ? 1 : 0;
+  }
+  EXPECT_GT(traced, 0u) << "no traced event reached an action";
+
+  const auto spans_a = per_event.spans->Snapshot();
+  const auto spans_b = batched.spans->Snapshot();
+  ASSERT_EQ(spans_b.size(), spans_a.size());
+  EXPECT_GT(spans_a.size(), 0u);
+  for (size_t i = 0; i < spans_a.size(); ++i) {
+    EXPECT_EQ(spans_b[i].trace_id, spans_a[i].trace_id) << i;
+    EXPECT_EQ(spans_b[i].span_id, spans_a[i].span_id) << i;
+    EXPECT_EQ(spans_b[i].parent_id, spans_a[i].parent_id) << i;
+    EXPECT_EQ(spans_b[i].name, spans_a[i].name) << i;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <random>
 
 #include "monitor/wire_v4.h"
@@ -141,9 +142,9 @@ TEST(EventBatch, FromPayloadSharesWireBytes) {
   // The received batch keeps the exact wire allocation: no re-encode.
   EXPECT_EQ(received->payload().get(), wire.get());
   ASSERT_EQ(received->size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    ExpectEventsEqual(received->events()[i], source.events()[i]);
-  }
+  const std::vector<FsEvent> got = received->events();
+  const std::vector<FsEvent> sent = source.events();
+  for (size_t i = 0; i < 3; ++i) ExpectEventsEqual(got[i], sent[i]);
 }
 
 TEST(EventBatch, FromPayloadRejectsZeroEventBatch) {
@@ -174,21 +175,52 @@ TEST(EventBatch, FromPayloadRejectsCorruptOffsetTable) {
   }
 }
 
-TEST(EventBatch, LazyV4BatchAnswersSizeAndTopicWithoutMaterializing) {
+TEST(EventBatch, ReceivedBatchAnswersSizeAndTypesFromItsView) {
   // A received v4 batch is validated in place; size() and the type column
-  // (what a subscriber's type filter reads) come straight from the flat
-  // layout. events() then materializes owning FsEvents exactly once (the
-  // store/catalog boundary).
-  const EventBatch source({SampleEvent(1), SampleEvent(2)});
+  // (what a subscriber's type filter reads) come straight from the bound
+  // view, which agrees with a fresh Bind of the same bytes. events() is
+  // the edge call that materializes owning copies.
+  std::vector<FsEvent> sent{SampleEvent(1), SampleEvent(2)};
+  sent[1].type = lustre::ChangeLogType::kUnlink;
+  const EventBatch source(sent);
   auto received = EventBatch::FromPayload(source.payload());
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(received->size(), 2u);
+  EXPECT_EQ(received->view().type(0), lustre::ChangeLogType::kCreate);
+  EXPECT_EQ(received->view().type(1), lustre::ChangeLogType::kUnlink);
   auto view = wire::EventBatchView::Bind(*received->FlatPayloadV4());
   ASSERT_TRUE(view.ok());
+  ASSERT_EQ(view->size(), 2u);
   EXPECT_EQ(view->type(0), lustre::ChangeLogType::kCreate);
-  ASSERT_EQ(received->events().size(), 2u);
-  ExpectEventsEqual(received->events()[0], source.events()[0]);
-  ExpectEventsEqual(received->events()[1], source.events()[1]);
+  EXPECT_EQ(view->type(1), lustre::ChangeLogType::kUnlink);
+  const std::vector<FsEvent> got = received->events();
+  ASSERT_EQ(got.size(), 2u);
+  ExpectEventsEqual(got[0], sent[0]);
+  ExpectEventsEqual(got[1], sent[1]);
+}
+
+TEST(EventBatch, CopyReadsCorrectlyAfterTheOriginalIsDestroyed) {
+  // A copy is a reference on the same bytes plus its own view over them:
+  // it stays readable, field by field, once every other owner is gone.
+  const std::vector<FsEvent> sent{SampleEvent(1), SampleEvent(2), SampleEvent(3)};
+  auto original = std::make_unique<EventBatch>(
+      EventBatch::FromPayload(EncodeEventBatch(sent)).value());
+  const std::string* bytes = original->payload().get();
+  const EventBatch copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.payload().get(), bytes) << "a copy shares the bytes";
+  ASSERT_EQ(copy.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(copy.view()[i].path(), sent[i].path);
+    EXPECT_EQ(copy.view().global_seq(i), sent[i].global_seq);
+    ExpectEventsEqual(copy.view()[i].Materialize(), sent[i]);
+  }
+  // Moving hands the bytes on and leaves the source empty.
+  EventBatch source = copy;
+  const EventBatch moved = std::move(source);
+  EXPECT_EQ(moved.payload().get(), bytes);
+  EXPECT_TRUE(source.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.payload(), nullptr);
 }
 
 TEST(EventBatch, RandomizedRoundTripProperty) {
@@ -226,9 +258,8 @@ TEST(EventBatch, RandomizedRoundTripProperty) {
     auto received = EventBatch::FromPayload(batch.payload());
     ASSERT_TRUE(received.ok()) << received.status().ToString();
     ASSERT_EQ(received->size(), events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-      ExpectEventsEqual(received->events()[i], events[i]);
-    }
+    const std::vector<FsEvent> got = received->events();
+    for (size_t i = 0; i < events.size(); ++i) ExpectEventsEqual(got[i], events[i]);
   }
 }
 

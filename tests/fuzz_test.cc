@@ -122,7 +122,7 @@ void ExpectEveryFieldEqual(const monitor::FsEvent& got, const monitor::FsEvent& 
 TEST_P(FuzzTest, V4RoundTripsEveryFieldExactly) {
   // Every well-formed batch round-trips field for field — provenance,
   // payload, trace context and HLC stamp — through both decode entry
-  // points: the eager decoder and the lazily-validated EventBatch.
+  // points: the eager decoder and the bound EventBatch.
   Rng rng(GetParam() ^ 0x4F1E);
   for (int round = 0; round < 200; ++round) {
     std::vector<monitor::FsEvent> events;
@@ -135,9 +135,10 @@ TEST_P(FuzzTest, V4RoundTripsEveryFieldExactly) {
     auto batch = monitor::EventBatch::FromPayload(payload);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     ASSERT_EQ(batch->size(), events.size());
+    const std::vector<monitor::FsEvent> materialized = batch->events();
     for (size_t i = 0; i < events.size(); ++i) {
       ExpectEveryFieldEqual((*decoded)[i], events[i]);
-      ExpectEveryFieldEqual(batch->events()[i], events[i]);
+      ExpectEveryFieldEqual(materialized[i], events[i]);
     }
   }
 }

@@ -91,7 +91,7 @@ TEST(FleetSubscriberWake, DeliveryToEitherShardWakesNextBatchFor) {
         return;
       }
       ASSERT_EQ(batch->size(), 1u);
-      const FsEvent& event = batch->events().front();
+      const FsEvent event = batch->events().front();
       EXPECT_EQ(event.hlc.origin, shard) << "round " << round;
       EXPECT_EQ(event.global_seq, next[shard]++) << "round " << round;
       delivered.store(round + 1, std::memory_order_release);

@@ -1,14 +1,20 @@
 // RecoveringSubscriber: gap detection and history-API backfill, including
-// the full kill-mid-stream scenario against a supervised aggregator.
+// the full kill-mid-stream scenario against a supervised aggregator, and
+// the pass-through of received batches (whole when fresh, trimmed to their
+// fresh events when partly stale).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <functional>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "monitor/aggregator.h"
 #include "monitor/aggregator_supervisor.h"
 #include "monitor/consumer.h"
+#include "monitor/wire_v4.h"
 
 namespace sdci::monitor {
 namespace {
@@ -277,6 +283,88 @@ TEST_F(RecoveryKillMidStreamTest, KillMidStreamHoldsWithParallelIngest) {
   config.ingest_workers = 4;
   config.wal_group_max = 8;
   RunKillMidStream(config);
+}
+
+// A sequenced batch as the aggregator publishes it, carrying `seqs` in
+// order. No history API answers these tests' subscribers: no delivery
+// below leaves a gap.
+std::shared_ptr<const std::string> SequencedPayload(const std::vector<uint64_t>& seqs) {
+  std::vector<FsEvent> events;
+  for (const uint64_t seq : seqs) {
+    FsEvent event;
+    event.record_index = seq;
+    event.global_seq = seq;
+    event.type = lustre::ChangeLogType::kCreate;
+    event.time = Micros(static_cast<int64_t>(seq));
+    event.path = "/p/f" + std::to_string(seq);
+    event.name = "f" + std::to_string(seq);
+    events.push_back(std::move(event));
+  }
+  return std::make_shared<const std::string>(EncodeEventBatch(events));
+}
+
+TEST(RecoveringPassThrough, WhollyFreshBatchIsDeliveredWithTheMessagePayload) {
+  // A live batch with no stale event is handed on as received: the
+  // consumer reads the message's own bytes, not a rebuilt copy.
+  msgq::Context context;
+  auto pub = context.CreatePub("inproc://pass.pub");
+  RecoveringSubscriber sub(context, "inproc://pass.pub", "inproc://pass.api");
+  for (const std::vector<uint64_t>& seqs :
+       {std::vector<uint64_t>{1, 2, 3}, std::vector<uint64_t>{4, 5}}) {
+    const auto payload = SequencedPayload(seqs);
+    ASSERT_EQ(pub->Publish(msgq::Message(std::string(kEventStreamTopic), payload)), 1u);
+    auto batch = sub.NextBatchFor(std::chrono::seconds(5));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->payload().get(), payload.get()) << "re-encoded instead of passed through";
+    ASSERT_EQ(batch->size(), seqs.size());
+    for (size_t i = 0; i < seqs.size(); ++i) {
+      EXPECT_EQ(batch->view().global_seq(i), seqs[i]);
+    }
+  }
+  EXPECT_EQ(sub.next_expected(), 6u);
+  EXPECT_EQ(sub.gaps_detected(), 0u);
+}
+
+TEST(RecoveringPassThrough, PartlyStaleDeliveryYieldsExactlyTheFreshEventsInOrder) {
+  // 1, 2 and an out-of-order 4 arrive first. The next delivery repeats 2
+  // (behind the watermark) and 4 (already delivered ahead of it) around
+  // the fresh 3, 5 and 6: those three, and only those, come out, in
+  // order, as one well-formed batch. A wholly stale repeat yields nothing.
+  msgq::Context context;
+  auto pub = context.CreatePub("inproc://stale.pub");
+  RecoveringSubscriber sub(context, "inproc://stale.pub", "inproc://stale.api");
+  const auto publish = [&](const std::vector<uint64_t>& seqs) {
+    const auto payload = SequencedPayload(seqs);
+    EXPECT_EQ(pub->Publish(msgq::Message(std::string(kEventStreamTopic), payload)), 1u);
+    return payload;
+  };
+  publish({1, 2, 4});
+  auto first = sub.NextBatchFor(std::chrono::seconds(5));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), 3u);
+  EXPECT_EQ(sub.next_expected(), 3u);
+
+  const auto repeated = publish({2, 3, 4, 5, 6});
+  auto batch = sub.NextBatchFor(std::chrono::seconds(5));
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_NE(batch->payload().get(), repeated.get());
+  auto view = wire::EventBatchView::Bind(*batch->payload());
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  const std::vector<uint64_t> want = {3, 5, 6};
+  ASSERT_EQ(view->size(), want.size());
+  ASSERT_EQ(batch->size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(view->global_seq(i), want[i]);
+    EXPECT_EQ((*view)[i].path(), "/p/f" + std::to_string(want[i]));
+    EXPECT_EQ((*view)[i].time(), Micros(static_cast<int64_t>(want[i])));
+  }
+  EXPECT_EQ(sub.next_expected(), 7u);
+
+  publish({5, 6});
+  EXPECT_EQ(sub.NextBatchFor(std::chrono::nanoseconds(0)).status().code(),
+            StatusCode::kTimedOut);
+  EXPECT_EQ(sub.received(), 6u);
+  EXPECT_EQ(sub.gaps_detected(), 0u);
 }
 
 }  // namespace
