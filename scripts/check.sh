@@ -79,7 +79,9 @@ else
   # keeps views that alias payload bytes, and its pages must outlive the
   # rotation that frees their source batches. Subscribers pass received
   # batches through and copies outlive their originals: the shared bytes
-  # must stay alive exactly as long as a view reads them.
+  # must stay alive exactly as long as a view reads them. The ChangeLog
+  # follow tests register and erase waiter targets from threads that race
+  # the appends that reach them.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RoundTripsEveryFieldExactly \
                    V4RejectsTruncationAtEveryCut \
@@ -90,7 +92,12 @@ else
                    RecoveringPassThrough.WhollyFreshBatchIsDeliveredWithTheMessagePayload \
                    RecoveringPassThrough.PartlyStaleDeliveryYieldsExactlyTheFreshEventsInOrder \
                    EventBatch.CopyReadsCorrectlyAfterTheOriginalIsDestroyed \
-                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery; do
+                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery \
+                   ChangeLogFollow.WaiterWakesAtItsThreshold \
+                   ChangeLogFollow.WaiterBelowItsThresholdTimesOut \
+                   ChangeLogFollow.StopTokenInterruptsTheWait \
+                   ChangeLogFollow.TwoWaitersWakeAtTheirOwnTargets \
+                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -109,10 +116,12 @@ else
   # pushes filter changes from two control-plane threads. The event-store
   # snapshot test pages against a rotating writer. The lost-wakeup tests
   # race every blocking wait's park against its wake: SPSC consumer and
-  # producer, Close() on parked sides, the SQS long poll, and the fleet
+  # producer, Close() on parked sides, the SQS long poll, the fleet
   # subscriber's notifier (whose Signal/WaitPast handshake the poller
-  # race hammers). The pass-through and batch-equivalence tests share one
-  # payload between the publisher, the subscriber and the agent.
+  # race hammers) and the ChangeLog follow wait (an append racing the
+  # waiter's registration, two waiters, timeout and stop). The
+  # pass-through and batch-equivalence tests share one payload between the
+  # publisher, the subscriber and the agent.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -145,7 +154,12 @@ else
                    RecoveringPassThrough.WhollyFreshBatchIsDeliveredWithTheMessagePayload \
                    RecoveringPassThrough.PartlyStaleDeliveryYieldsExactlyTheFreshEventsInOrder \
                    EventBatch.CopyReadsCorrectlyAfterTheOriginalIsDestroyed \
-                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery; do
+                   CloudAgentTest.BatchDeliveryMatchesPerEventDelivery \
+                   ChangeLogFollow.WaiterWakesAtItsThreshold \
+                   ChangeLogFollow.WaiterBelowItsThresholdTimesOut \
+                   ChangeLogFollow.StopTokenInterruptsTheWait \
+                   ChangeLogFollow.TwoWaitersWakeAtTheirOwnTargets \
+                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

@@ -21,6 +21,11 @@
 //
 // Shutdown keeps BoundedQueue's drain discipline: Close() makes pushes
 // fail with kClosed while pops drain the remaining items before failing.
+// The drain is exact from any thread: a push raises a seq_cst `pushing`
+// flag before its closed check, and Close() waits for that flag to drop
+// before it *seals* the ring, so every push Close() did not refuse has
+// published its item first. Pop fails only once it has seen the seal and
+// a final TryPop came back empty.
 //
 // Blocking variants spin briefly, then yield, then park on a futex
 // (std::atomic::wait) until the peer moves. Parking is a Dekker hand-
@@ -70,7 +75,7 @@ class SpscRing {
       Status status = PushImpl(item);
       if (status.ok() || status.code() == StatusCode::kClosed) return status;
       if (!backoff.Spin()) {
-        Park(producer_, [this] {
+        Park(producer_, closed_, [this] {
           return tail_.load(std::memory_order_relaxed) -
                      head_.load(std::memory_order_seq_cst) <=
                  mask_;
@@ -99,14 +104,14 @@ class SpscRing {
     Backoff backoff;
     while (true) {
       if (auto item = TryPop()) return std::move(*item);
-      // Order matters: the closed check comes after an empty TryPop, so a
-      // Close() racing a final Push never strands the pushed item.
-      if (closed_.load(std::memory_order_acquire)) {
+      // Order matters: the seal check comes after an empty TryPop, and
+      // every accepted push published its item before the seal.
+      if (sealed_.load(std::memory_order_acquire)) {
         if (auto item = TryPop()) return std::move(*item);
         return ClosedError("ring closed");
       }
       if (!backoff.Spin()) {
-        Park(consumer_, [this] {
+        Park(consumer_, sealed_, [this] {
           return head_.load(std::memory_order_relaxed) !=
                  tail_.load(std::memory_order_seq_cst);
         });
@@ -114,13 +119,15 @@ class SpscRing {
     }
   }
 
-  // Any thread. Pushes fail afterwards; the consumer drains what remains.
-  // Wakes a parked producer and a parked consumer. The drain is exact when
-  // the producer has stopped pushing (ThreadPool closes after joining its
-  // submitter); a push racing a Close() from another thread may be
-  // accepted and still miss the drain.
+  // Any thread. Pushes fail afterwards; the consumer drains what remains,
+  // including an item whose push raced this call and was accepted. Wakes
+  // a parked producer and a parked consumer.
   void Close() {
     closed_.store(true, std::memory_order_seq_cst);
+    // Dekker with PushImpl: either that push sees closed_, or this load
+    // sees its flag and waits out the few instructions to its tail store.
+    while (pushing_.load(std::memory_order_seq_cst)) std::this_thread::yield();
+    sealed_.store(true, std::memory_order_seq_cst);
     for (Waiter* waiter : {&producer_, &consumer_}) {
       waiter->wake.fetch_add(1, std::memory_order_release);
       waiter->wake.notify_all();
@@ -141,14 +148,23 @@ class SpscRing {
 
  private:
   Status PushImpl(T& item) {
-    if (closed_.load(std::memory_order_acquire)) return ClosedError("ring closed");
+    pushing_.store(true, std::memory_order_seq_cst);
+    if (closed_.load(std::memory_order_seq_cst)) {
+      pushing_.store(false, std::memory_order_release);
+      return ClosedError("ring closed");
+    }
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ > mask_) {
       head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ > mask_) return ResourceExhaustedError("ring full");
+      if (tail - head_cache_ > mask_) {
+        pushing_.store(false, std::memory_order_release);
+        return ResourceExhaustedError("ring full");
+      }
     }
     slots_[tail & mask_] = std::move(item);
     tail_.store(tail + 1, std::memory_order_seq_cst);
+    // Release: Close() reads the flag down only after the item is visible.
+    pushing_.store(false, std::memory_order_release);
     WakeIfParked(consumer_);
     return OkStatus();
   }
@@ -185,12 +201,13 @@ class SpscRing {
   };
 
   // Blocks until `ready()` may have turned true: the peer moved its index
-  // or the ring closed. `ready` must read the peer's index seq_cst.
+  // or `done` (closed_ for the producer, sealed_ for the consumer) was
+  // set. `ready` must read the peer's index seq_cst.
   template <typename Ready>
-  void Park(Waiter& self, Ready ready) {
+  void Park(Waiter& self, const std::atomic<bool>& done, Ready ready) {
     const uint32_t ticket = self.wake.load(std::memory_order_acquire);
     self.parked.store(true, std::memory_order_seq_cst);
-    if (!ready() && !closed_.load(std::memory_order_seq_cst)) {
+    if (!ready() && !done.load(std::memory_order_seq_cst)) {
       self.wake.wait(ticket, std::memory_order_acquire);
     }
     self.parked.store(false, std::memory_order_relaxed);
@@ -206,14 +223,19 @@ class SpscRing {
   const uint64_t mask_;
   std::vector<T> slots_;
 
-  // Producer-owned line: tail_ plus the producer's cache of head_.
+  // Producer-owned line: tail_, the producer's cache of head_, and the
+  // in-push flag Close() waits on.
   alignas(64) std::atomic<uint64_t> tail_{0};
   uint64_t head_cache_ = 0;
+  std::atomic<bool> pushing_{false};
   // Consumer-owned line: head_ plus the consumer's cache of tail_.
   alignas(64) std::atomic<uint64_t> head_{0};
   uint64_t tail_cache_ = 0;
 
+  // closed_: pushes fail. sealed_: set by Close() once no accepted push
+  // is still publishing; the consumer's kClosed waits for it.
   alignas(64) std::atomic<bool> closed_{false};
+  std::atomic<bool> sealed_{false};
   // Each side's parking spot on its own line: the peer reads `parked` on
   // every hand-off.
   alignas(64) Waiter producer_;

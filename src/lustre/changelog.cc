@@ -118,11 +118,45 @@ size_t ChangeLogRecord::ApproxBytes() const noexcept {
 ChangeLog::ChangeLog(int mdt_index) : mdt_index_(mdt_index) {}
 
 uint64_t ChangeLog::Append(ChangeLogRecord record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  record.index = next_index_++;
-  memory_.Charge(record.ApproxBytes());
-  records_.push_back(std::move(record));
-  return records_.back().index;
+  uint64_t index = 0;
+  bool wake = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    index = record.index = next_index_++;
+    memory_.Charge(record.ApproxBytes());
+    records_.push_back(std::move(record));
+    if (!follow_targets_.empty() && *follow_targets_.begin() <= index) {
+      follow_targets_.erase(follow_targets_.begin(),
+                            follow_targets_.upper_bound(index));
+      wake = true;
+    }
+  }
+  if (wake) follow_cv_.notify_all();
+  return index;
+}
+
+bool ChangeLog::WaitForRecords(uint64_t start_index, size_t count,
+                               std::chrono::nanoseconds timeout,
+                               const std::stop_token& stop) const {
+  if (count == 0) return true;
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Count from where ReadFrom(start_index) starts: it skips purged
+  // records, so they must not end the wait either. Otherwise a reader
+  // whose cursor lies below a fully purged log (a collector registered
+  // after an earlier one cleared everything) would never block.
+  const uint64_t first = records_.empty() ? next_index_ : records_.front().index;
+  const uint64_t target = std::max(start_index, first) + count - 1;
+  const auto reached = [&] { return next_index_ > target; };
+  if (reached()) return true;
+  // Registering under the lock that Append takes closes the lost-wakeup
+  // window: an append either happened before (reached() saw it) or finds
+  // the target and notifies after this wait has released the lock.
+  const auto it = follow_targets_.insert(target);
+  if (follow_cv_.wait_for(lock, stop, timeout, reached)) return true;
+  // Timed out or stopped: the target is still registered unless an append
+  // reached it in the meantime (then reached() would have held).
+  follow_targets_.erase(it);
+  return false;
 }
 
 ConsumerId ChangeLog::RegisterConsumer() {
@@ -181,6 +215,11 @@ void ChangeLog::ReclaimLocked() {
     memory_.Release(records_.front().ApproxBytes());
     records_.pop_front();
   }
+}
+
+size_t ChangeLog::Followers() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return follow_targets_.size();
 }
 
 std::vector<ChangeLog::ConsumerInfo> ChangeLog::Consumers() const {

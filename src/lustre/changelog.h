@@ -10,13 +10,19 @@
 //    cleared past them (lctl changelog_clear), so a crashed consumer can
 //    re-read from its last cleared index;
 //  - reading starts from an arbitrary index, so a restarted Collector
-//    resumes from its persisted pointer.
+//    resumes from its persisted pointer;
+//  - a reader can follow the log (like `lfs changelog --follow`): it blocks
+//    until enough new records are appended instead of polling on a timer.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
+#include <set>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -98,7 +104,20 @@ class ChangeLog {
   explicit ChangeLog(int mdt_index);
 
   // Appends a record, assigning its index. Returns the assigned index.
+  // Wakes the followers whose wait this record completes (after releasing
+  // the log lock); with no follower waiting it makes no syscall.
   uint64_t Append(ChangeLogRecord record);
+
+  // Follow mode: blocks until ReadFrom(start_index, count) would return
+  // `count` records, `timeout` of real time passes, or `stop` is
+  // requested. Returns true when the records are there (also when they
+  // already were on entry). As in ReadFrom, records purged before the
+  // call do not count; records purged during the wait still do.
+  bool WaitForRecords(uint64_t start_index, size_t count,
+                      std::chrono::nanoseconds timeout,
+                      const std::stop_token& stop) const;
+  // Follow-mode waits whose records have not been appended yet.
+  [[nodiscard]] size_t Followers() const;
 
   // Registers a consumer; records will be retained until this consumer
   // clears them. Returns the new consumer id (cl1, cl2, ... numerically).
@@ -159,6 +178,13 @@ class ChangeLog {
   ConsumerId next_consumer_ = 1;
   std::map<ConsumerId, uint64_t> cleared_;  // consumer -> highest cleared index
   MemoryAccountant memory_;
+  // Follow-mode waiters: the append index each one waits for (a waiter
+  // for `count` records from `start` waits for index start + count - 1,
+  // with `start` raised to the oldest retained record).
+  // Append removes the targets it reaches and notifies once; a waiter that
+  // gives up removes its own target.
+  mutable std::multiset<uint64_t> follow_targets_;
+  mutable std::condition_variable_any follow_cv_;
 };
 
 }  // namespace sdci::lustre

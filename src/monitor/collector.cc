@@ -70,6 +70,15 @@ Collector::Collector(lustre::FileSystem& fs, int mdt_index,
   reports_abandoned_ =
       metrics_->GetCounter("sdci_collector_reports_abandoned_total", labels);
   last_cleared_ = metrics_->GetGauge("sdci_collector_last_cleared_index", labels);
+  const auto reason_labels = [&](const char* reason) {
+    MetricLabels with = labels;
+    with.emplace_back("reason", reason);
+    return with;
+  };
+  follow_wakes_records_ = metrics_->GetCounter("sdci_collector_follow_wakes_total",
+                                               reason_labels("records"));
+  follow_wakes_timeout_ = metrics_->GetCounter("sdci_collector_follow_wakes_total",
+                                               reason_labels("timeout"));
   detection_latency_ =
       metrics_->GetHistogram("sdci_collector_detection_latency", labels);
   const auto stage_labels = [&](const char* stage) {
@@ -180,6 +189,12 @@ size_t Collector::Workers() const noexcept {
   return std::max<size_t>(1, config_.resolver_workers);
 }
 
+size_t Collector::ChunkSize() const noexcept {
+  // Two chunks per worker keeps everyone busy without shredding the
+  // batched-resolve modes' amortization.
+  return std::max<size_t>(1, config_.read_batch / (2 * Workers()));
+}
+
 size_t Collector::Window() const noexcept {
   return config_.reorder_window > 0 ? config_.reorder_window
                                     : std::max<size_t>(8, 4 * Workers());
@@ -220,11 +235,22 @@ void Collector::Run(const std::stop_token& stop) {
   log::Debug(strings::Format("collector.{}", mdt_index_),
              "started ({} mode, {} resolver worker(s), window {})",
              ResolveModeName(config_.resolve_mode), Workers(), Window());
+  const auto& changelog = fs_->Mds(static_cast<size_t>(mdt_index_)).changelog();
   while (!stop.stop_requested()) {
     if (!ReadPass()) {
       MaybeScheduleSpoolReplay();
       budget_.Flush();
-      authority_->IdleFor(config_.poll_interval);
+      // Follow the log: wake as soon as one resolver chunk of records has
+      // landed (a burst is read without waiting out a poll), or after
+      // poll_interval for a partial chunk. Waking per record would shred
+      // the pipeline's batches and spend CPU on hand-offs.
+      if (changelog.WaitForRecords(next_index_, ChunkSize(),
+                                   authority_->ToReal(config_.poll_interval),
+                                   stop)) {
+        follow_wakes_records_->Add(1);
+      } else if (!stop.stop_requested()) {
+        follow_wakes_timeout_->Add(1);
+      }
     }
   }
   // Final flush pass so Stop() never abandons already-journaled records
@@ -265,17 +291,14 @@ bool Collector::ReadPass() {
     filtered_->Add(before - records.size());
   }
 
-  // Slice the batch so it spreads across the pool (two chunks per worker
-  // keeps everyone busy without shredding the batched-resolve modes'
-  // amortization). An all-filtered batch still submits one empty chunk:
+  // Slice the batch into ChunkSize() chunks so it spreads across the
+  // pool. An all-filtered batch still submits one empty chunk:
   // the purge watermark must ride the ticket order, because clearing
   // through last_index also clears every earlier record — it may only
   // happen after all of them are published.
-  const size_t chunk_size =
-      std::max<size_t>(1, config_.read_batch / (2 * Workers()));
   size_t start = 0;
   do {
-    const size_t end = std::min(records.size(), start + chunk_size);
+    const size_t end = std::min(records.size(), start + ChunkSize());
     ResolveChunk chunk;
     chunk.records.assign(records.begin() + static_cast<ptrdiff_t>(start),
                          records.begin() + static_cast<ptrdiff_t>(end));

@@ -28,6 +28,9 @@
 // (mdt_index, record_index)). The reader stalls once
 // `reorder_window` tickets are in flight, so a stuck publisher
 // backpressures the whole pipeline instead of buffering unboundedly.
+// Once the log is dry the reader follows it (ChangeLog::WaitForRecords):
+// it wakes when one chunk of new records has landed, or after
+// `poll_interval` for a partial chunk, or at Stop().
 //
 // Resolution modes implement the paper's deployed design and its two
 // proposed optimizations:
@@ -79,7 +82,10 @@ struct CollectorConfig {
   std::string collect_endpoint = "inproc://monitor.collect";
   CollectTransport transport = CollectTransport::kPubSub;
   size_t read_batch = 256;        // max records per ChangeLog read
-  VirtualDuration poll_interval = Millis(50);  // idle back-off
+  // Longest wait for a partial chunk: an idle reader follows the
+  // ChangeLog and wakes once one resolver chunk of records has landed,
+  // or after this long with fewer.
+  VirtualDuration poll_interval = Millis(50);
   ResolveMode resolve_mode = ResolveMode::kPerEvent;
   size_t cache_capacity = 16384;  // parent-path LRU entries (cached modes)
   size_t cache_shards = 8;        // lock shards of the parent-path cache
@@ -238,6 +244,8 @@ class Collector {
   // gets a chance to drain a non-empty spool with no fresh traffic.
   void MaybeScheduleSpoolReplay();
   [[nodiscard]] size_t Workers() const noexcept;
+  // Records per resolver chunk: read_batch / (2 * Workers()).
+  [[nodiscard]] size_t ChunkSize() const noexcept;
   [[nodiscard]] size_t Window() const noexcept;
 
   // Serial path (DrainOnce): redelivers held events, then (if clear)
@@ -309,6 +317,10 @@ class Collector {
   std::shared_ptr<Counter> events_replayed_;
   std::shared_ptr<Counter> reports_abandoned_;
   std::shared_ptr<Gauge> last_cleared_;
+  // Idle follow waits that ended with a chunk of records vs. on
+  // poll_interval (sdci_collector_follow_wakes_total{reason=...}).
+  std::shared_ptr<Counter> follow_wakes_records_;
+  std::shared_ptr<Counter> follow_wakes_timeout_;
   std::shared_ptr<LatencyHistogram> detection_latency_;
   // Per-stage modeled latency (labels: stage=read|resolve|publish).
   std::shared_ptr<LatencyHistogram> read_stage_latency_;

@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <stop_token>
+#include <thread>
+
+#include "common/rng.h"
+
 namespace sdci::lustre {
 namespace {
+
+using std::chrono::milliseconds;
+using std::chrono::seconds;
 
 ChangeLogRecord MakeRecord(ChangeLogType type, std::string name) {
   ChangeLogRecord record;
@@ -244,6 +255,162 @@ TEST(ChangeLog, MemoryAccountingFollowsRetention) {
   ASSERT_TRUE(log.Clear(c, 100).ok());
   EXPECT_EQ(log.memory().CurrentBytes(), 0u);
   EXPECT_EQ(log.memory().PeakBytes(), full);
+}
+
+// Follow mode. A wait that should have woken fails on a generous
+// std::async deadline instead of a tight wall-clock bound, so a loaded
+// host cannot fail these tests; only a lost or missing wakeup can.
+constexpr seconds kDeadline{30};
+// Outlasts kDeadline, so only a wake ends the wait in time, yet bounds how
+// long a failed test blocks joining its waiter.
+constexpr seconds kForever{2 * kDeadline};
+
+// Spins until `log` has `n` registered follow waits.
+void AwaitFollowers(const ChangeLog& log, size_t n) {
+  const auto until = std::chrono::steady_clock::now() + kDeadline;
+  while (log.Followers() != n && std::chrono::steady_clock::now() < until) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(log.Followers(), n);
+}
+
+TEST(ChangeLogFollow, WaiterWakesAtItsThreshold) {
+  ChangeLog log(0);
+  for (int i = 0; i < 2; ++i) log.Append(MakeRecord(ChangeLogType::kCreate, "old"));
+  // Already there on entry: no wait at all.
+  EXPECT_TRUE(log.WaitForRecords(1, 2, kForever, {}));
+  EXPECT_EQ(log.Followers(), 0u);
+
+  // Three records from index 3: the third append (index 5) is the one.
+  auto waiter = std::async(std::launch::async,
+                           [&] { return log.WaitForRecords(3, 3, kForever, {}); });
+  AwaitFollowers(log, 1);
+  log.Append(MakeRecord(ChangeLogType::kCreate, "a"));
+  log.Append(MakeRecord(ChangeLogType::kCreate, "b"));
+  EXPECT_EQ(waiter.wait_for(milliseconds(20)), std::future_status::timeout)
+      << "woke two records short of its threshold";
+  EXPECT_EQ(log.Followers(), 1u);
+  log.Append(MakeRecord(ChangeLogType::kCreate, "c"));
+  ASSERT_EQ(waiter.wait_for(kDeadline), std::future_status::ready)
+      << "the threshold record did not wake the waiter";
+  EXPECT_TRUE(waiter.get());
+  EXPECT_EQ(log.Followers(), 0u);
+}
+
+TEST(ChangeLogFollow, WaiterBelowItsThresholdTimesOut) {
+  ChangeLog log(0);
+  log.Append(MakeRecord(ChangeLogType::kCreate, "a"));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(log.WaitForRecords(1, 4, milliseconds(50), {}));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(50));
+  EXPECT_EQ(log.Followers(), 0u) << "a timed-out wait must unregister";
+  // Later appends reach nobody; a new wait counts them.
+  for (int i = 0; i < 3; ++i) log.Append(MakeRecord(ChangeLogType::kCreate, "b"));
+  EXPECT_TRUE(log.WaitForRecords(1, 4, milliseconds(0), {}));
+}
+
+TEST(ChangeLogFollow, PurgedRecordsDoNotEndTheWait) {
+  // As in ReadFrom, a cursor below the oldest retained record counts from
+  // there: 200 records appended and cleared leave nothing to read from
+  // index 1, so a wait for one record from index 1 must block.
+  ChangeLog log(0);
+  const ConsumerId consumer = log.RegisterConsumer();
+  for (int i = 0; i < 200; ++i) log.Append(MakeRecord(ChangeLogType::kCreate, "old"));
+  ASSERT_TRUE(log.Clear(consumer, 200).ok());
+  ASSERT_EQ(log.RetainedCount(), 0u);
+  EXPECT_FALSE(log.WaitForRecords(1, 1, milliseconds(0), {}));
+  log.Append(MakeRecord(ChangeLogType::kCreate, "new"));
+  EXPECT_TRUE(log.WaitForRecords(1, 1, milliseconds(0), {}));
+  EXPECT_FALSE(log.WaitForRecords(1, 2, milliseconds(0), {}));
+  EXPECT_EQ(log.Followers(), 0u);
+}
+
+TEST(ChangeLogFollow, StopTokenInterruptsTheWait) {
+  ChangeLog log(0);
+  std::stop_source stopped;
+  stopped.request_stop();
+  EXPECT_FALSE(log.WaitForRecords(1, 1, kForever, stopped.get_token()));
+  EXPECT_EQ(log.Followers(), 0u);
+
+  std::stop_source source;
+  auto waiter = std::async(std::launch::async, [&] {
+    return log.WaitForRecords(1, 1, kForever, source.get_token());
+  });
+  AwaitFollowers(log, 1);
+  source.request_stop();
+  ASSERT_EQ(waiter.wait_for(kDeadline), std::future_status::ready)
+      << "request_stop did not end the wait";
+  EXPECT_FALSE(waiter.get());
+  EXPECT_EQ(log.Followers(), 0u);
+}
+
+TEST(ChangeLogFollow, TwoWaitersWakeAtTheirOwnTargets) {
+  ChangeLog log(0);
+  auto near = std::async(std::launch::async,
+                         [&] { return log.WaitForRecords(1, 2, kForever, {}); });
+  auto far = std::async(std::launch::async,
+                        [&] { return log.WaitForRecords(1, 5, kForever, {}); });
+  AwaitFollowers(log, 2);
+  log.Append(MakeRecord(ChangeLogType::kCreate, "1"));
+  log.Append(MakeRecord(ChangeLogType::kCreate, "2"));
+  ASSERT_EQ(near.wait_for(kDeadline), std::future_status::ready);
+  EXPECT_TRUE(near.get());
+  EXPECT_EQ(far.wait_for(milliseconds(20)), std::future_status::timeout)
+      << "the far waiter woke at the near waiter's target";
+  EXPECT_EQ(log.Followers(), 1u);
+  for (int i = 3; i <= 5; ++i) log.Append(MakeRecord(ChangeLogType::kCreate, "n"));
+  ASSERT_EQ(far.wait_for(kDeadline), std::future_status::ready);
+  EXPECT_TRUE(far.get());
+  EXPECT_EQ(log.Followers(), 0u);
+}
+
+TEST(ChangeLogFollow, AppendRacingRegistrationNeverLosesTheWakeup) {
+  // Each round the waiter asks for the next 1-3 records as soon as the
+  // previous round ends, while the appender, after a random pause, adds
+  // exactly those records: the threshold append races the waiter's
+  // registration in every window. A met threshold must end the wait; a
+  // lost wakeup shows as a wait that runs out its timeout and returns
+  // false.
+  constexpr int kRounds = 2000;
+  ChangeLog log(0);
+  std::atomic<int> done{0};
+  auto waiter = std::async(std::launch::async, [&] {
+    uint64_t start = 1;
+    for (int round = 0; round < kRounds; ++round) {
+      const size_t count = 1 + static_cast<size_t>(round % 3);
+      if (!log.WaitForRecords(start, count, kDeadline, {})) {
+        ADD_FAILURE() << "round " << round << " waited out its timeout";
+        return;
+      }
+      start += count;
+      done.store(round + 1, std::memory_order_release);
+    }
+  });
+  Rng rng(11);
+  for (int round = 0; round < kRounds; ++round) {
+    const int count = 1 + round % 3;
+    for (int i = 0; i < count; ++i) {
+      switch (rng.NextBelow(3)) {
+        case 0:
+          break;
+        case 1:
+          std::this_thread::yield();
+          break;
+        default:
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+      }
+      log.Append(MakeRecord(ChangeLogType::kCreate, "r"));
+    }
+    // One round in flight at a time, so the next round's appends race
+    // the registration that follows this round's wake.
+    while (done.load(std::memory_order_acquire) <= round &&
+           waiter.wait_for(seconds(0)) != std::future_status::ready) {
+      std::this_thread::yield();
+    }
+    ASSERT_GT(done.load(std::memory_order_acquire), round) << "round " << round;
+  }
+  waiter.get();
+  EXPECT_EQ(log.Followers(), 0u);
 }
 
 }  // namespace

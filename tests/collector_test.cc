@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "lustre/filesystem.h"
 #include "msgq/context.h"
 
@@ -31,6 +35,11 @@ class CollectorTest : public ::testing::Test {
       for (auto& event : *batch) events.push_back(std::move(event));
     }
     return events;
+  }
+
+  // The virtual duration that lasts `real` on this fixture's clock.
+  VirtualDuration VirtualFor(std::chrono::nanoseconds real) const {
+    return std::chrono::duration_cast<VirtualDuration>(real * authority_.dilation());
   }
 
   TimeAuthority authority_;
@@ -284,6 +293,143 @@ TEST_F(CollectorTest, StartStopThreadDrains) {
   collector.Stop();
   collector.Stop();  // idempotent
   EXPECT_EQ(collector.Stats().reported, 10u);
+}
+
+// Follow mode: an idle reader waits in ChangeLog::WaitForRecords for one
+// resolver chunk (read_batch / (2 * workers) = 128 records at defaults),
+// with poll_interval as the longest wait for a partial chunk. With a
+// poll_interval of one real hour, only a working follow wake (or Stop)
+// can finish these tests inside their 30 s deadlines.
+class CollectorFollowTest : public CollectorTest {
+ protected:
+  static constexpr size_t kChunk = 128;
+  static constexpr std::chrono::seconds kDeadline{30};
+
+  CollectorConfig FollowConfig(std::chrono::nanoseconds real_poll) {
+    CollectorConfig config = Config();
+    config.poll_interval = VirtualFor(real_poll);
+    config.metrics = metrics_;
+    config.collect_endpoint = "inproc://follow";
+    return config;
+  }
+
+  // Blocks until the started collector's reader is parked in its follow
+  // wait, so the records appended next are all counted from one index.
+  void AwaitReaderFollowing() {
+    const auto& changelog = fs_.Mds(0).changelog();
+    const auto until = std::chrono::steady_clock::now() + kDeadline;
+    size_t followers = 0;
+    while ((followers = changelog.Followers()) == 0 &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    ASSERT_EQ(followers, 1u);
+  }
+
+  // Polls the collector's reported count until it reaches `n` or the
+  // deadline passes.
+  bool ReportsWithinDeadline(const Collector& collector, uint64_t n) {
+    const auto until = std::chrono::steady_clock::now() + kDeadline;
+    while (collector.Stats().reported < n) {
+      if (std::chrono::steady_clock::now() >= until) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  uint64_t Wakes(const char* reason) {
+    return metrics_
+        ->GetCounter("sdci_collector_follow_wakes_total",
+                     {{"mdt", "0"}, {"reason", reason}})
+        ->Get();
+  }
+
+  std::shared_ptr<MetricsRegistry> metrics_ = std::make_shared<MetricsRegistry>();
+};
+
+TEST_F(CollectorFollowTest, OneChunkWakesTheReaderBeforeThePollInterval) {
+  auto config = FollowConfig(std::chrono::hours(1));
+  auto sub = context_.CreateSub(config.collect_endpoint, 4096);
+  sub->Subscribe("");
+  Collector collector(fs_, 0, profile_, authority_, context_, config);
+  collector.Start();
+  AwaitReaderFollowing();
+  for (size_t i = 0; i < kChunk; ++i) {
+    ASSERT_TRUE(fs_.Create("/chunk" + std::to_string(i)).ok());
+  }
+  EXPECT_TRUE(ReportsWithinDeadline(collector, kChunk))
+      << "one chunk of records did not wake the reader";
+  EXPECT_EQ(Wakes("records"), 1u);
+  EXPECT_EQ(Wakes("timeout"), 0u);
+  // Stop must not wait out the hour either (would hang this test).
+  collector.Stop();
+  EXPECT_EQ(collector.Stats().reported, kChunk);
+  EXPECT_EQ(DrainEndpoint(*sub).size(), kChunk);
+}
+
+TEST_F(CollectorFollowTest, StopEndsAFollowWaitPromptly) {
+  Collector collector(fs_, 0, profile_, authority_, context_,
+                      FollowConfig(std::chrono::hours(1)));
+  collector.Start();
+  AwaitReaderFollowing();
+  auto stopped = std::async(std::launch::async, [&] { collector.Stop(); });
+  ASSERT_EQ(stopped.wait_for(kDeadline), std::future_status::ready)
+      << "Stop waited out the poll interval";
+  EXPECT_EQ(fs_.Mds(0).changelog().Followers(), 0u);
+  EXPECT_EQ(Wakes("records") + Wakes("timeout"), 0u) << "a stopped wait is no wake";
+}
+
+TEST_F(CollectorFollowTest, ReaderBehindAFullyPurgedLogStillBlocks) {
+  // A first collector reads and clears 200 records, so the log retains
+  // nothing. A second collector starts its cursor at index 1, below the
+  // purge: its follow wait must block rather than count the purged
+  // records as a ready chunk and spin.
+  {
+    auto sub = context_.CreateSub("inproc://monitor.collect", 1024);
+    sub->Subscribe("");
+    Collector first(fs_, 0, profile_, authority_, context_, Config());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(fs_.Create("/old" + std::to_string(i)).ok());
+    }
+    EXPECT_EQ(first.DrainOnce(), 200u);
+  }
+  ASSERT_EQ(fs_.Mds(0).changelog().RetainedCount(), 0u);
+  auto config = FollowConfig(std::chrono::hours(1));
+  auto sub = context_.CreateSub(config.collect_endpoint, 4096);
+  sub->Subscribe("");
+  Collector collector(fs_, 0, profile_, authority_, context_, config);
+  collector.Start();
+  AwaitReaderFollowing();
+  EXPECT_EQ(Wakes("records"), 0u);
+  for (size_t i = 0; i < kChunk; ++i) {
+    ASSERT_TRUE(fs_.Create("/new" + std::to_string(i)).ok());
+  }
+  EXPECT_TRUE(ReportsWithinDeadline(collector, kChunk));
+  EXPECT_EQ(Wakes("records"), 1u);
+  collector.Stop();
+}
+
+TEST_F(CollectorFollowTest, TrickleBelowOneChunkIsReportedAfterThePollInterval) {
+  const auto poll = std::chrono::milliseconds(200);
+  auto config = FollowConfig(poll);
+  auto sub = context_.CreateSub(config.collect_endpoint, 4096);
+  sub->Subscribe("");
+  Collector collector(fs_, 0, profile_, authority_, context_, config);
+  // Every follow wait starts after Start(), so none times out earlier
+  // than one poll from here.
+  const auto start = std::chrono::steady_clock::now();
+  collector.Start();
+  AwaitReaderFollowing();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(fs_.Create("/trickle" + std::to_string(i)).ok());
+  }
+  EXPECT_TRUE(ReportsWithinDeadline(collector, 3));
+  // Three records are no chunk: only the timeout could have read them.
+  EXPECT_GE(std::chrono::steady_clock::now() - start, poll);
+  EXPECT_EQ(Wakes("records"), 0u);
+  EXPECT_GE(Wakes("timeout"), 1u);
+  collector.Stop();
+  EXPECT_EQ(DrainEndpoint(*sub).size(), 3u);
 }
 
 }  // namespace

@@ -437,8 +437,8 @@ TEST(SpscRing, CloseWakesParkedConsumerAndProducer) {
   }
 
   // Racing from a third thread while both sides run and park. Both wake
-  // and the consumer gets a FIFO prefix of the accepted values: all of
-  // them, save possibly the one push that raced the close (see Close()).
+  // and the consumer gets exactly the accepted values, in order: a push
+  // that raced the close was either refused or is drained.
   for (int round = 0; round < 200; ++round) {
     SpscRing<uint64_t> ring(2);
     std::atomic<uint64_t> accepted{0};
@@ -468,8 +468,7 @@ TEST(SpscRing, CloseWakesParkedConsumerAndProducer) {
     ASSERT_TRUE(FinishesInTime(pop_side, ring)) << "round " << round;
     push_side.get();
     const uint64_t popped = pop_side.get();
-    EXPECT_LE(popped, accepted.load()) << "round " << round;
-    EXPECT_GE(popped + 1, accepted.load()) << "round " << round;
+    EXPECT_EQ(popped, accepted.load()) << "round " << round;
   }
 }
 
