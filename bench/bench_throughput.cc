@@ -119,7 +119,7 @@ ThroughputResult RunOne(const lustre::TestbedProfile& profile,
   const auto& detect = mon.collector(0).detection_latency();
   result.detect_p50 = FormatDuration(detect.Quantile(0.5));
   result.detect_p99 = FormatDuration(detect.Quantile(0.99));
-  result.deliver_p99 = FormatDuration(mon.aggregator().delivery_latency().Quantile(0.99));
+  result.deliver_p99 = FormatDuration(mon.fleet().shard(0).delivery_latency().Quantile(0.99));
   return result;
 }
 

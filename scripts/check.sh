@@ -58,7 +58,9 @@ run_suite() {
   cmake --build "$dir" -j "$JOBS"
   local log="$dir/ctest-output.log"
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" --output-log "$log"
-  if grep -F "[health] decode_errors=" "$log"; then
+  # The output log holds only failing tests' output; LastTest.log holds
+  # every test's, so a passing test that trips the marker is seen too.
+  if grep -F "[health] decode_errors=" "$log" "$dir/Testing/Temporary/LastTest.log"; then
     echo "FAIL: a test binary reported unexpected decode_errors (see above)" >&2
     exit 1
   fi
@@ -81,7 +83,9 @@ else
   # batches through and copies outlive their originals: the shared bytes
   # must stay alive exactly as long as a view reads them. The ChangeLog
   # follow tests register and erase waiter targets from threads that race
-  # the appends that reach them.
+  # the appends that reach them. The shard-shape tests read registry series
+  # that every incarnation of a shard shares, across a crash and restart,
+  # and a collector restart after abandoned reports re-reads its records.
   ASAN_LOG="${BUILD_DIR:-build-asan}/ctest-output.log"
   for test_name in V4RoundTripsEveryFieldExactly \
                    V4RejectsTruncationAtEveryCut \
@@ -97,7 +101,13 @@ else
                    ChangeLogFollow.WaiterBelowItsThresholdTimesOut \
                    ChangeLogFollow.StopTokenInterruptsTheWait \
                    ChangeLogFollow.TwoWaitersWakeAtTheirOwnTargets \
-                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup; do
+                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup \
+                   CollectorTest.RestartAfterAbandonedReportsDeliversThem \
+                   CollectorTest.CleanRestartKeepsItsCursor \
+                   MonitorTest.OneAndTwoShardFleetsShareOneShape \
+                   FleetTest.SupervisedShardsOnOneRegistryCountTheirOwnCrashes \
+                   AggregatorSupervisorTest.StatsAfterACrashAreTheRegistrySeries \
+                   ApiEdge.StatsOpRepliesWithFleetPositionAndLastSeq; do
     if ! grep -q "$test_name" "$ASAN_LOG"; then
       echo "FAIL: $test_name did not run in the ASan+UBSan pass" >&2
       exit 1
@@ -121,7 +131,9 @@ else
   # race hammers) and the ChangeLog follow wait (an append racing the
   # waiter's registration, two waiters, timeout and stop). The
   # pass-through and batch-equivalence tests share one payload between the
-  # publisher, the subscriber and the agent.
+  # publisher, the subscriber and the agent. The shard-shape tests read
+  # the series a supervisor's incarnations share while its loop restarts
+  # them, and the collector restart tests rewind a stopped pipeline.
   TSAN_LOG="${TSAN_BUILD_DIR:-build-tsan}/ctest-output.log"
   for test_name in StatsStayConsistentUnderIngestLoad \
                    ConcurrentTimeRangeQueriesMatchOracle \
@@ -159,7 +171,13 @@ else
                    ChangeLogFollow.WaiterBelowItsThresholdTimesOut \
                    ChangeLogFollow.StopTokenInterruptsTheWait \
                    ChangeLogFollow.TwoWaitersWakeAtTheirOwnTargets \
-                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup; do
+                   ChangeLogFollow.AppendRacingRegistrationNeverLosesTheWakeup \
+                   CollectorTest.RestartAfterAbandonedReportsDeliversThem \
+                   CollectorTest.CleanRestartKeepsItsCursor \
+                   MonitorTest.OneAndTwoShardFleetsShareOneShape \
+                   FleetTest.SupervisedShardsOnOneRegistryCountTheirOwnCrashes \
+                   AggregatorSupervisorTest.StatsAfterACrashAreTheRegistrySeries \
+                   ApiEdge.StatsOpRepliesWithFleetPositionAndLastSeq; do
     if ! grep -q "$test_name" "$TSAN_LOG"; then
       echo "FAIL: $test_name did not run in the TSan pass" >&2
       exit 1

@@ -23,6 +23,49 @@ void AggregatorCheckpoint::Append(const std::vector<EventBatch>& group,
   }
 }
 
+AggregatorStats& AggregatorStats::operator+=(const AggregatorStats& other) {
+  received += other.received;
+  batches_received += other.batches_received;
+  published += other.published;
+  batches_published += other.batches_published;
+  stored += other.stored;
+  decode_errors += other.decode_errors;
+  checkpointed += other.checkpointed;
+  wal_commits += other.wal_commits;
+  return *this;
+}
+
+AggregatorCounters::AggregatorCounters(MetricsRegistry& metrics,
+                                       const MetricLabels& labels)
+    : received(metrics.GetCounter("sdci_aggregator_received_total", labels)),
+      batches_received(
+          metrics.GetCounter("sdci_aggregator_batches_received_total", labels)),
+      published(metrics.GetCounter("sdci_aggregator_published_total", labels)),
+      batches_published(
+          metrics.GetCounter("sdci_aggregator_batches_published_total", labels)),
+      stored(metrics.GetCounter("sdci_aggregator_stored_total", labels)),
+      decode_errors(metrics.GetCounter("sdci_aggregator_decode_errors_total", labels)),
+      delivery_latency(
+          metrics.GetHistogram("sdci_aggregator_delivery_latency", labels)) {}
+
+AggregatorStats AggregatorCounters::Read(const AggregatorCheckpoint* checkpoint) const {
+  // Every field reads an atomic (registry counters) or a value read under
+  // the WAL's lock, so a snapshot taken while the parallel ingest path is
+  // mutating them is stale at worst, never torn.
+  AggregatorStats stats;
+  stats.received = received->Get();
+  stats.batches_received = batches_received->Get();
+  stats.published = published->Get();
+  stats.batches_published = batches_published->Get();
+  stats.stored = stored->Get();
+  stats.decode_errors = decode_errors->Get();
+  if (checkpoint != nullptr) {
+    stats.checkpointed = checkpoint->TotalAppended();
+    stats.wal_commits = checkpoint->Commits();
+  }
+  return stats;
+}
+
 Aggregator::Aggregator(const lustre::TestbedProfile& profile,
                        const TimeAuthority& authority, msgq::Context& context,
                        AggregatorConfig config, AggregatorAttachments attachments)
@@ -30,42 +73,27 @@ Aggregator::Aggregator(const lustre::TestbedProfile& profile,
       authority_(&authority),
       config_(std::move(config)),
       metrics_(config_.metrics != nullptr ? config_.metrics
-                                          : std::make_shared<MetricsRegistry>()) {
-  // In a fleet every series carries the {"shard"} label; a single
-  // aggregator keeps the historical unlabelled series.
+                                          : std::make_shared<MetricsRegistry>()),
+      counters_(*metrics_, config_.ShardLabels()) {
   const MetricLabels labels = config_.ShardLabels();
-  received_ = metrics_->GetCounter("sdci_aggregator_received_total", labels);
-  batches_received_ =
-      metrics_->GetCounter("sdci_aggregator_batches_received_total", labels);
-  published_ = metrics_->GetCounter("sdci_aggregator_published_total", labels);
-  batches_published_ =
-      metrics_->GetCounter("sdci_aggregator_batches_published_total", labels);
-  decode_errors_ =
-      metrics_->GetCounter("sdci_aggregator_decode_errors_total", labels);
-  delivery_latency_ =
-      metrics_->GetHistogram("sdci_aggregator_delivery_latency", labels);
   wal_group_size_ = metrics_->GetHistogram("sdci_aggregator_wal_group_size", labels);
-  received_base_ = received_->Get();
-  batches_received_base_ = batches_received_->Get();
-  published_base_ = published_->Get();
-  batches_published_base_ = batches_published_->Get();
-  decode_errors_base_ = decode_errors_->Get();
 
   // Role construction order matters: the catalog restores the store from
   // the checkpoint, the serve plane answers out of the catalog, and the
   // ingest pipeline (which takes over the attached sockets and the
   // sequence watermark) feeds both.
   catalog_ = std::make_unique<EventCatalog>(*authority_, config_,
-                                            attachments.checkpoint, config_.tracer,
-                                            crashed_);
+                                            attachments.checkpoint, counters_.stored,
+                                            config_.tracer, crashed_);
   serve_ = std::make_unique<ServePlane>(
       *authority_, context, config_, *catalog_,
-      ServePlane::Instruments{published_, batches_published_, delivery_latency_},
+      ServePlane::Instruments{counters_.published, counters_.batches_published,
+                              counters_.delivery_latency},
       config_.tracer, crashed_);
   ingest_ = std::make_unique<IngestPipeline>(
       profile_, *authority_, context, config_, attachments, *catalog_, *serve_,
-      IngestPipeline::Instruments{received_, batches_received_, decode_errors_,
-                                  wal_group_size_},
+      IngestPipeline::Instruments{counters_.received, counters_.batches_received,
+                                  counters_.decode_errors, wal_group_size_},
       config_.tracer, crashed_);
 
   // Scrape-time queue depths, read through the roles. The weak token keeps
@@ -134,8 +162,9 @@ void Aggregator::Stop() {
   catalog_->Join();
   serve_->StopApi();
   // Health marker for scripts/check.sh: unexplained decode errors mean a
-  // wire-format regression somewhere upstream.
-  const uint64_t decode_errors = decode_errors_->Get() - decode_errors_base_;
+  // wire-format regression somewhere upstream. The series is cumulative
+  // over every incarnation of the shard.
+  const uint64_t decode_errors = counters_.decode_errors->Get();
   if (decode_errors > config_.expected_decode_errors) {
     log::Warn("aggregator", "[health] decode_errors={} (expected <= {})",
               decode_errors, config_.expected_decode_errors);
@@ -165,21 +194,17 @@ void Aggregator::Crash() {
 }
 
 AggregatorStats Aggregator::Stats() const {
-  // Every field reads an atomic (registry counters), a value read under
-  // the store's or the WAL's lock, or a value written once at
-  // construction (restored_events), so a snapshot taken while the
-  // parallel ingest path is mutating them is stale at worst, never torn.
-  AggregatorStats stats;
-  stats.received = received_->Get() - received_base_;
-  stats.batches_received = batches_received_->Get() - batches_received_base_;
-  stats.published = published_->Get() - published_base_;
-  stats.batches_published = batches_published_->Get() - batches_published_base_;
-  stats.stored = catalog_->store().TotalAppended() - catalog_->restored_events();
-  stats.decode_errors = decode_errors_->Get() - decode_errors_base_;
-  const AggregatorCheckpoint* checkpoint = catalog_->checkpoint();
-  stats.checkpointed = checkpoint != nullptr ? checkpoint->TotalAppended() : 0;
-  stats.wal_commits = checkpoint != nullptr ? checkpoint->Commits() : 0;
-  return stats;
+  return counters_.Read(catalog_->checkpoint());
+}
+
+AggregatorShardStatus Aggregator::Status() const {
+  AggregatorShardStatus status;
+  status.stats = Stats();
+  status.next_seq = NextSeq();
+  status.store_first_seq = store().FirstSeq();
+  status.store_last_seq = store().LastSeq();
+  status.delivery_latency = counters_.delivery_latency->Summary();
+  return status;
 }
 
 const EventStore& Aggregator::store() const noexcept { return catalog_->store(); }
@@ -188,11 +213,9 @@ uint64_t Aggregator::NextSeq() const noexcept { return ingest_->NextSeq(); }
 
 ResourceUsage Aggregator::Usage(VirtualDuration elapsed) const {
   ResourceUsage usage;
-  usage.component = config_.shard_count > 1
-                        ? "aggregator." + std::to_string(config_.shard_index)
-                        : "aggregator";
+  usage.component = "aggregator." + std::to_string(config_.shard_index);
   const double span = ToSecondsF(elapsed);
-  const double received = static_cast<double>(received_->Get() - received_base_);
+  const double received = static_cast<double>(counters_.received->Get());
   usage.cpu_percent =
       span <= 0 ? 0
                 : 100.0 * received * ToSecondsF(profile_.aggregator_cpu_per_event) / span;

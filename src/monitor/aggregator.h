@@ -24,9 +24,9 @@
 // monolith: global_seq is monotone in arrival order, publication order
 // matches sequence order, and the write-ahead discipline (WAL before
 // visibility, watermark after the group commits) keeps the crash/backfill
-// semantics intact. A shard with shard_count == 1 behaves bit-for-bit
-// like the historical single aggregator — same endpoints, same metric
-// series, same crash story.
+// semantics intact. Every shard has one shape, alone or in a fleet: its
+// series carry {"shard": "<i>"}, its ledger and watermark instance is
+// "shard<i>", and its counts live only in the metrics registry.
 //
 // N shards compose into an AggregatorFleet (fleet.h): collectors route by
 // MDT, per-shard sequences stay dense, and the federation layer
@@ -82,16 +82,13 @@ struct AggregatorConfig {
   // decoded — so it amortizes lock traffic without adding latency.
   size_t wal_group_max = 16;
   // Fleet position: this shard's index and the fleet width. The index is
-  // the HLC origin (cross-shard tie-breaker) and, when shard_count > 1,
-  // the value of the {"shard"} label on every metric series. The default
-  // (0 of 1) keeps single-aggregator deployments label-free and
-  // bit-for-bit compatible.
+  // the HLC origin (cross-shard tie-breaker) and the value of the
+  // {"shard"} label on every metric series.
   size_t shard_index = 0;
   size_t shard_count = 1;
-  // Shared observability plumbing (see CollectorConfig). When a supervisor
-  // restarts the aggregator with the same registry, the new incarnation
-  // re-acquires the same instruments, so registry series are
-  // fleet-cumulative while Stats() stays per-incarnation.
+  // Shared observability plumbing (see CollectorConfig). A supervisor
+  // hands its registry to every incarnation, which re-acquires the same
+  // series, so the counts Stats() reads are cumulative across restarts.
   std::shared_ptr<MetricsRegistry> metrics;
   std::shared_ptr<trace::Tracer> tracer;
   // Flow-conservation ledger and freshness watermarks (null = disabled).
@@ -108,11 +105,6 @@ struct AggregatorConfig {
   // `batches` batches is committed to the checkpoint WAL. Chaos tests use
   // it to line crashes up with the commit edge.
   std::function<void(size_t batches)> commit_hook;
-  // Serve-plane stats channel: when set, an api request with
-  // {"op": "stats"} replies with this JSON string (the fleet wires it to
-  // FleetStatusJson, so SLO alerts and the flow ledger are queryable over
-  // the same REQ/REP socket as history). Runs on the api thread.
-  std::function<std::string()> status_provider;
 
   [[nodiscard]] size_t IngestWorkers() const noexcept {
     return ingest_workers == 0 ? 1 : ingest_workers;
@@ -121,16 +113,13 @@ struct AggregatorConfig {
     return ingest_window > 0 ? ingest_window
                              : std::max<size_t>(16, 16 * IngestWorkers());
   }
-  // {"shard": "<index>"} when part of a fleet; empty (the historical
-  // unlabelled series) for a single aggregator.
+  // {"shard": "<index>"}, the label on every series of this shard.
   [[nodiscard]] MetricLabels ShardLabels() const {
-    if (shard_count <= 1) return {};
     return {{"shard", std::to_string(shard_index)}};
   }
-  // Ledger/watermark instance name: "aggregator" standalone, "shard<i>"
-  // in a fleet (matches the FleetStatusJson per-shard breakout).
+  // Ledger/watermark instance name "shard<i>" (matches the
+  // FleetStatusJson per-shard breakout).
   [[nodiscard]] std::string InstanceName() const {
-    if (shard_count <= 1) return "aggregator";
     return "shard" + std::to_string(shard_index);
   }
 };
@@ -144,6 +133,8 @@ struct AggregatorStats {
   uint64_t decode_errors = 0;      // malformed or zero-event payloads
   uint64_t checkpointed = 0;       // events persisted to the checkpoint WAL
   uint64_t wal_commits = 0;        // checkpoint lock acquisitions (group commits)
+
+  AggregatorStats& operator+=(const AggregatorStats& other);
 };
 
 // The durable half of an aggregator deployment, owned by whoever
@@ -187,6 +178,43 @@ class AggregatorCheckpoint {
   std::atomic<uint64_t> next_seq_{1};
 };
 
+// A shard's counts: one registry series each, labelled with the shard.
+// Every incarnation of a supervised shard acquires the same series from
+// the supervisor's registry, so they are cumulative across crashes by
+// construction, and the supervisor reads them while no incarnation is up.
+struct AggregatorCounters {
+  AggregatorCounters(MetricsRegistry& metrics, const MetricLabels& labels);
+
+  // The counts, plus the checkpoint's when there is one.
+  [[nodiscard]] AggregatorStats Read(const AggregatorCheckpoint* checkpoint) const;
+
+  std::shared_ptr<Counter> received;
+  std::shared_ptr<Counter> batches_received;
+  std::shared_ptr<Counter> published;
+  std::shared_ptr<Counter> batches_published;
+  // Appends made by the store thread (WAL restores are not counted).
+  std::shared_ptr<Counter> stored;
+  std::shared_ptr<Counter> decode_errors;
+  // Virtual time from a record being journaled on its MDS to its event
+  // reaching subscribers.
+  std::shared_ptr<LatencyHistogram> delivery_latency;
+};
+
+// One shard's health, read alike for a plain and a supervised shard. A
+// plain shard is always up and never crashes; a supervised one between a
+// crash and its restart is down and has no store to range over (0/0).
+struct AggregatorShardStatus {
+  AggregatorStats stats;
+  bool up = true;
+  bool in_outage = false;
+  uint64_t crashes = 0;
+  uint64_t restarts = 0;
+  uint64_t next_seq = 1;
+  uint64_t store_first_seq = 0;
+  uint64_t store_last_seq = 0;
+  std::string delivery_latency;  // LatencyHistogram::Summary()
+};
+
 // Durable attachments that outlive one aggregator incarnation; provided
 // by AggregatorSupervisor. The ingest socket is pre-bound by the owner so
 // collector hand-offs accepted during an outage wait in its queue (as
@@ -228,17 +256,17 @@ class Aggregator {
   void Crash();
 
   [[nodiscard]] AggregatorStats Stats() const;
+  [[nodiscard]] AggregatorShardStatus Status() const;
   [[nodiscard]] const EventStore& store() const noexcept;
   [[nodiscard]] ResourceUsage Usage(VirtualDuration elapsed) const;
 
   // Sequence that will be assigned to the next ingested event.
   [[nodiscard]] uint64_t NextSeq() const noexcept;
 
-  // Delivery latency: virtual time from a record being journaled on its
-  // MDS to its event reaching subscribers. Cumulative across incarnations
-  // when a shared registry is configured.
+  // Delivery latency (AggregatorCounters::delivery_latency), cumulative
+  // across incarnations like every registry series.
   [[nodiscard]] const LatencyHistogram& delivery_latency() const noexcept {
-    return *delivery_latency_;
+    return *counters_.delivery_latency;
   }
 
   [[nodiscard]] const AggregatorConfig& config() const noexcept { return config_; }
@@ -255,26 +283,13 @@ class Aggregator {
   std::unique_ptr<ServePlane> serve_;
   std::unique_ptr<IngestPipeline> ingest_;
 
-  // Registry-backed instruments. The shared registry outlives incarnations
-  // (counters are fleet-cumulative); the *_base_ snapshots taken at
-  // construction keep Stats() per-incarnation so a supervisor summing
-  // totals across restarts does not double-count.
+  // Registry-backed instruments; the registry outlives incarnations.
   std::shared_ptr<MetricsRegistry> metrics_;
-  std::shared_ptr<Counter> received_;
-  std::shared_ptr<Counter> batches_received_;
-  std::shared_ptr<Counter> published_;
-  std::shared_ptr<Counter> batches_published_;
-  std::shared_ptr<Counter> decode_errors_;
-  std::shared_ptr<LatencyHistogram> delivery_latency_;
+  AggregatorCounters counters_;
   // Batches per checkpoint group commit, encoded as a count (1 "ns" == 1
   // batch): the registry's histogram type is the latency histogram, and
   // the power-of-two buckets bin small counts exactly.
   std::shared_ptr<LatencyHistogram> wal_group_size_;
-  uint64_t received_base_ = 0;
-  uint64_t batches_received_base_ = 0;
-  uint64_t published_base_ = 0;
-  uint64_t batches_published_base_ = 0;
-  uint64_t decode_errors_base_ = 0;
   // Invalidated first in the destructor so registry queue-depth callbacks
   // holding a weak handle stop reading this incarnation's roles.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

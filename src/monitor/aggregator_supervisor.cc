@@ -18,26 +18,31 @@ AggregatorSupervisor::AggregatorSupervisor(const lustre::TestbedProfile& profile
       rng_(config.fault_seed),
       metrics_(aggregator_config_.metrics != nullptr
                    ? aggregator_config_.metrics
-                   : std::make_shared<MetricsRegistry>()) {
-  crashes_ = metrics_->GetCounter("sdci_aggregator_supervisor_crashes_total");
-  restarts_ = metrics_->GetCounter("sdci_aggregator_supervisor_restarts_total");
+                   : std::make_shared<MetricsRegistry>()),
+      counters_(*metrics_, aggregator_config_.ShardLabels()) {
+  // Every incarnation counts into the supervisor's registry, so the series
+  // (and Stats()) are cumulative across restarts.
+  aggregator_config_.metrics = metrics_;
+  const MetricLabels labels = aggregator_config_.ShardLabels();
+  crashes_ = metrics_->GetCounter("sdci_aggregator_supervisor_crashes_total", labels);
+  restarts_ = metrics_->GetCounter("sdci_aggregator_supervisor_restarts_total", labels);
   // The checkpoint outlives every incarnation; the weak token covers a
   // registry that outlives the supervisor itself.
   const std::weak_ptr<bool> alive = alive_;
   metrics_->RegisterCallback(
-      "sdci_aggregator_checkpoint_next_seq", {},
+      "sdci_aggregator_checkpoint_next_seq", labels,
       [alive, this]() -> std::optional<int64_t> {
         if (alive.expired()) return std::nullopt;
         return static_cast<int64_t>(checkpoint_.NextSeq());
       });
   metrics_->RegisterCallback(
-      "sdci_aggregator_checkpoint_events", {},
+      "sdci_aggregator_checkpoint_events", labels,
       [alive, this]() -> std::optional<int64_t> {
         if (alive.expired()) return std::nullopt;
         return static_cast<int64_t>(checkpoint_.EventCount());
       });
   metrics_->RegisterCallback(
-      "sdci_aggregator_checkpoint_commits", {},
+      "sdci_aggregator_checkpoint_commits", labels,
       [alive, this]() -> std::optional<int64_t> {
         if (alive.expired()) return std::nullopt;
         return static_cast<int64_t>(checkpoint_.Commits());
@@ -91,17 +96,6 @@ void AggregatorSupervisor::Stop() {
 void AggregatorSupervisor::CrashLocked() {
   if (aggregator_ == nullptr) return;
   aggregator_->Crash();
-  // Bank this incarnation's counters AFTER the crash joins its workers so
-  // Stats() stays cumulative across restarts: a snapshot taken while they
-  // still ran would miss their final events — events subscribers may have
-  // already received, which must therefore stay in the totals.
-  const AggregatorStats stats = aggregator_->Stats();
-  totals_.received += stats.received;
-  totals_.batches_received += stats.batches_received;
-  totals_.published += stats.published;
-  totals_.batches_published += stats.batches_published;
-  totals_.stored += stats.stored;
-  totals_.decode_errors += stats.decode_errors;
   aggregator_.reset();
   crashes_->Add();
   log::Debug("supervisor", "aggregator crashed");
@@ -152,24 +146,22 @@ void AggregatorSupervisor::SuperviseLoop(const std::stop_token& stop) {
   }
 }
 
-AggregatorStats AggregatorSupervisor::Stats() const {
+AggregatorShardStatus AggregatorSupervisor::Status() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  AggregatorStats stats = totals_;
+  AggregatorShardStatus status;
   if (aggregator_ != nullptr) {
-    const AggregatorStats current = aggregator_->Stats();
-    stats.received += current.received;
-    stats.batches_received += current.batches_received;
-    stats.published += current.published;
-    stats.batches_published += current.batches_published;
-    stats.stored += current.stored;
-    stats.decode_errors += current.decode_errors;
+    status = aggregator_->Status();
+  } else {
+    // Down: no store to range over, but the counts outlive the process.
+    status.up = false;
+    status.stats = Stats();
+    status.delivery_latency = counters_.delivery_latency->Summary();
   }
-  // Checkpoint-sourced fields are cumulative by construction (the
-  // checkpoint outlives every incarnation), so they are read fresh rather
-  // than banked in totals_.
-  stats.checkpointed = checkpoint_.TotalAppended();
-  stats.wal_commits = checkpoint_.Commits();
-  return stats;
+  status.in_outage = outage_;
+  status.crashes = crashes_->Get();
+  status.restarts = restarts_->Get();
+  status.next_seq = checkpoint_.NextSeq();
+  return status;
 }
 
 }  // namespace sdci::monitor

@@ -61,6 +61,7 @@ class AggregatorSupervisor {
     return outage_;
   }
 
+  // This shard's crashes and restarts (series labelled with the shard).
   [[nodiscard]] uint64_t crashes() const noexcept { return crashes_->Get(); }
   [[nodiscard]] uint64_t restarts() const noexcept { return restarts_->Get(); }
 
@@ -71,9 +72,11 @@ class AggregatorSupervisor {
     return aggregator_ != nullptr;
   }
 
-  // Cumulative stats across every incarnation since Start (per-incarnation
-  // counters reset on restart; these are what the pipeline observed).
-  [[nodiscard]] AggregatorStats Stats() const;
+  // Cumulative stats across every incarnation: they read the registry
+  // series every incarnation shares.
+  [[nodiscard]] AggregatorStats Stats() const { return counters_.Read(&checkpoint_); }
+  // The shard's health, also while it is down.
+  [[nodiscard]] AggregatorShardStatus Status() const;
 
   // Sequence the next ingested event will get, from the durable watermark.
   [[nodiscard]] uint64_t NextSeq() const noexcept { return checkpoint_.NextSeq(); }
@@ -100,10 +103,11 @@ class AggregatorSupervisor {
   mutable std::mutex mutex_;
   std::unique_ptr<Aggregator> aggregator_;  // null while "down"
   bool outage_ = false;                     // declared outage: no restarts
-  AggregatorStats totals_;                  // from dead incarnations
   Rng rng_;
-  // Registered into aggregator_config_.metrics (or a private registry).
+  // aggregator_config_.metrics, or a private registry; handed to every
+  // incarnation.
   std::shared_ptr<MetricsRegistry> metrics_;
+  AggregatorCounters counters_;
   std::shared_ptr<Counter> crashes_;
   std::shared_ptr<Counter> restarts_;
   // Invalidated first in the destructor so checkpoint scrape callbacks in

@@ -202,6 +202,17 @@ size_t Collector::Window() const noexcept {
 
 void Collector::Start() {
   if (running_.exchange(true)) return;
+  // A run that did not end clean left records behind the cursor that
+  // were read but never delivered: resume from this consumer's first
+  // unpurged record, as a new incarnation would (at-least-once). A clean
+  // stop keeps its cursor.
+  if (publish_aborted_ || read_dropped_) {
+    for (const auto& consumer :
+         fs_->Mds(static_cast<size_t>(mdt_index_)).changelog().Consumers()) {
+      if (consumer.id == consumer_id_) next_index_ = consumer.cleared_through + 1;
+    }
+  }
+  read_dropped_ = false;
   reorder_.Reopen();
   publish_aborted_ = false;
   {
@@ -312,7 +323,8 @@ bool Collector::ReadPass() {
     if (!pool_->Submit([this, chunk = std::move(chunk)](size_t worker) mutable {
           ResolveChunkTask(std::move(chunk), worker);
         }).ok()) {
-      return false;  // pool closed mid-shutdown; records stay unpurged
+      read_dropped_ = true;  // pool closed mid-shutdown; records stay unpurged
+      return false;
     }
     start = end;
   } while (start < records.size());

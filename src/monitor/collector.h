@@ -304,6 +304,9 @@ class Collector {
   // (re-extracted by the next incarnation). Atomic so Stats() can read the
   // terminal status from any thread.
   std::atomic<bool> publish_aborted_{false};
+  // Set by the reader when the pool refused a chunk of a read batch; like
+  // publish_aborted_, it makes the next Start() rewind the cursor.
+  bool read_dropped_ = false;
 
   // Registry-backed instruments (shared with config_.metrics when set).
   std::shared_ptr<MetricsRegistry> metrics_;

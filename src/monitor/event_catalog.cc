@@ -13,12 +13,14 @@ constexpr size_t kBulkPop = 16;
 EventCatalog::EventCatalog(const TimeAuthority& authority,
                            const AggregatorConfig& config,
                            AggregatorCheckpoint* checkpoint,
+                           std::shared_ptr<Counter> stored,
                            std::shared_ptr<trace::Tracer> tracer,
                            const std::atomic<bool>& crashed)
     : authority_(&authority),
       checkpoint_(checkpoint),
       store_(config.store_capacity),
       queue_(config.internal_queue),
+      stored_(std::move(stored)),
       tracer_(std::move(tracer)),
       crashed_(&crashed) {
   const std::string instance = config.InstanceName();
@@ -26,25 +28,17 @@ EventCatalog::EventCatalog(const TimeAuthority& authority,
     wm_store_ = config.watermarks->Handle(trace::kStoreAppend, instance);
   }
   if (config.flow != nullptr) {
-    stored_ = config.flow->Account("shard.store", instance, FlowKind::kOut,
-                                   "stored");
-    restored_ = config.flow->Account("shard.store", instance, FlowKind::kIn,
-                                     "restored");
+    config.flow->Bind("shard.store", instance, FlowKind::kOut, "stored", stored_);
     discarded_ = config.flow->Account("shard.store", instance, FlowKind::kOut,
                                       "discarded");
   }
   if (checkpoint_ != nullptr) {
     // Restore: the catalog replays the WAL so the history API still
     // answers for pre-crash events (the sequence watermark is restored by
-    // the ingest pipeline from the same checkpoint). The replayed events
-    // enter the store boundary a second time ("restored"), matching the
-    // "discarded" the crashed incarnation booked for them.
-    for (const EventBatch& batch : checkpoint_->WalSnapshot()) {
-      store_.Append(batch);
-      restored_events_ += batch.size();
-      if (restored_ != nullptr) restored_->Add(batch.size());
-      if (stored_ != nullptr) stored_->Add(batch.size());
-    }
+    // the ingest pipeline from the same checkpoint). The replay is not a
+    // flow through the store boundary: each replayed event already left
+    // it once, as "stored" or as the crashed incarnation's "discarded".
+    for (const EventBatch& batch : checkpoint_->WalSnapshot()) store_.Append(batch);
   }
 }
 
@@ -103,7 +97,7 @@ void EventCatalog::StoreLoop() {
         }
       }
       // Counted last: whoever sees a batch as stored also sees its spans.
-      if (stored_ != nullptr) stored_->Add(count);
+      stored_->Add(count);
     }
   }
 }

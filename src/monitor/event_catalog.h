@@ -33,10 +33,10 @@ namespace sdci::monitor {
 class EventCatalog {
  public:
   // `checkpoint` may be null (standalone shard: no durability, no
-  // restore). `crashed` is the owning shard's crash flag, shared across
-  // the three roles.
+  // restore). `stored` counts the store thread's appends. `crashed` is
+  // the owning shard's crash flag, shared across the three roles.
   EventCatalog(const TimeAuthority& authority, const AggregatorConfig& config,
-               AggregatorCheckpoint* checkpoint,
+               AggregatorCheckpoint* checkpoint, std::shared_ptr<Counter> stored,
                std::shared_ptr<trace::Tracer> tracer,
                const std::atomic<bool>& crashed);
 
@@ -67,8 +67,6 @@ class EventCatalog {
     return checkpoint_;
   }
   [[nodiscard]] bool has_checkpoint() const noexcept { return checkpoint_ != nullptr; }
-  // Events replayed from the checkpoint WAL at construction.
-  [[nodiscard]] uint64_t restored_events() const noexcept { return restored_events_; }
   [[nodiscard]] size_t QueueDepth() const { return queue_.size(); }
 
  private:
@@ -77,15 +75,13 @@ class EventCatalog {
   const TimeAuthority* authority_;
   AggregatorCheckpoint* checkpoint_;  // null for a standalone shard
   EventStore store_;
-  uint64_t restored_events_ = 0;
   BoundedQueue<EventBatch> queue_;
+  std::shared_ptr<Counter> stored_;  // registry series; shard.store out
   std::shared_ptr<trace::Tracer> tracer_;
   const std::atomic<bool>* crashed_;
 
-  // Flow-ledger accounts and store.append watermark (null when the shard
+  // Flow-ledger account and store.append watermark (null when the shard
   // runs without a ledger / watermark registry).
-  std::shared_ptr<Counter> stored_;     // shard.store out
-  std::shared_ptr<Counter> restored_;   // shard.store in (WAL replay)
   std::shared_ptr<Counter> discarded_;  // shard.store out (crash)
   std::shared_ptr<StageWatermark> wm_store_;
 

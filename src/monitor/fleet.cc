@@ -98,16 +98,7 @@ const AggregatorSupervisor* AggregatorFleet::supervisor(size_t index) const {
 
 AggregatorStats AggregatorFleet::Stats() const {
   AggregatorStats total;
-  for (const AggregatorStats& stats : ShardStats()) {
-    total.received += stats.received;
-    total.batches_received += stats.batches_received;
-    total.published += stats.published;
-    total.batches_published += stats.batches_published;
-    total.stored += stats.stored;
-    total.decode_errors += stats.decode_errors;
-    total.checkpointed += stats.checkpointed;
-    total.wal_commits += stats.wal_commits;
-  }
+  for (const AggregatorStats& stats : ShardStats()) total += stats;
   return total;
 }
 
@@ -117,6 +108,11 @@ std::vector<AggregatorStats> AggregatorFleet::ShardStats() const {
   for (const auto& supervisor : supervisors_) stats.push_back(supervisor->Stats());
   for (const auto& shard : shards_) stats.push_back(shard->Stats());
   return stats;
+}
+
+AggregatorShardStatus AggregatorFleet::Status(size_t index) const {
+  return config_.supervised ? supervisors_.at(index)->Status()
+                            : shards_.at(index)->Status();
 }
 
 std::vector<ResourceUsage> AggregatorFleet::Usage(VirtualDuration elapsed) const {

@@ -11,9 +11,9 @@
 // federation layer (federation.h) a total order to merge live streams and
 // history pages across shards.
 //
-// A fleet of 1 is bit-for-bit the historical single aggregator: same
-// endpoints (no ".0" suffix), same unlabelled metric series, same
-// supervisor story.
+// A fleet of 1 has the same shape as a fleet of N (labelled series,
+// "shard0" ledger instance, per-shard status); only its endpoints stay
+// unsuffixed, because addresses are deployment settings.
 #pragma once
 
 #include <memory>
@@ -78,12 +78,14 @@ class AggregatorFleet {
   [[nodiscard]] const AggregatorSupervisor* supervisor(size_t index) const;
   [[nodiscard]] bool supervised() const noexcept { return config_.supervised; }
 
-  // Fleet-total stats (sum over shards; supervised fleets sum across
-  // incarnations too) and the per-shard breakdown.
+  // Fleet-total stats (sum over shards, each cumulative across its
+  // incarnations) and the per-shard breakdown.
   [[nodiscard]] AggregatorStats Stats() const;
   [[nodiscard]] std::vector<AggregatorStats> ShardStats() const;
-  // One entry per shard, component "aggregator.<i>" ("aggregator" for a
-  // fleet of one). Unsupervised fleets only.
+  // One shard's health, alike for plain and supervised shards.
+  [[nodiscard]] AggregatorShardStatus Status(size_t index) const;
+  // One entry per shard, component "aggregator.<i>". Unsupervised fleets
+  // only.
   [[nodiscard]] std::vector<ResourceUsage> Usage(VirtualDuration elapsed) const;
 
  private:

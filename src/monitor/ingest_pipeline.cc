@@ -313,7 +313,7 @@ void IngestPipeline::SequenceAndCommit(std::vector<DecodedMessage> group) {
   // next incarnation's history API serves it) but this process's queues
   // are dead memory. The ledger counts the skipped events as discarded on
   // both downstream boundaries — the flows a real crash loses from
-  // process memory (the WAL restore re-enters the store as "restored").
+  // process memory (the next incarnation's WAL replay books no flow).
   if (crashed_->load(std::memory_order_acquire)) {
     if (discarded_store_ != nullptr) discarded_store_->Add(group_events);
     if (discarded_publish_ != nullptr) discarded_publish_->Add(group_events);

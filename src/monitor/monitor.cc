@@ -1,8 +1,5 @@
 #include "monitor/monitor.h"
 
-#include "monitor/aggregator_supervisor.h"
-#include "monitor/consumer.h"
-
 namespace sdci::monitor {
 
 void MonitorConfig::SetCollectEndpoint(std::string endpoint) {
@@ -47,9 +44,8 @@ Monitor::Monitor(lustre::FileSystem& fs, const lustre::TestbedProfile& profile,
   fleet_ = std::make_unique<AggregatorFleet>(profile, authority, context, fleet_config);
   collectors_.reserve(fs.MdsCount());
   for (size_t i = 0; i < fs.MdsCount(); ++i) {
-    // Route each collector to the shard that owns its MDT. With one shard
-    // ShardEndpoint is the identity, so the config is byte-identical to
-    // the pre-fleet monitor.
+    // Route each collector to the shard that owns its MDT (with one shard
+    // ShardEndpoint is the identity).
     CollectorConfig collector_config = config_.collector;
     collector_config.collect_endpoint = AggregatorFleet::ShardEndpoint(
         collector_config.collect_endpoint,
@@ -90,105 +86,11 @@ MonitorStats Monitor::Stats() const {
   return stats;
 }
 
-json::Value Monitor::StatusJson() const { return StatusJson(MonitorObservability{}); }
-
-json::Value Monitor::StatusJson(const MonitorObservability& obs) const {
-  json::Object doc;
-  json::Array collectors;
-  for (const auto& collector : collectors_) {
-    const auto stats = collector->Stats();
-    json::Object entry;
-    entry["mdt"] = json::Value(static_cast<int64_t>(collector->mdt_index()));
-    entry["extracted"] = json::Value(stats.extracted);
-    entry["processed"] = json::Value(stats.processed);
-    entry["reported"] = json::Value(stats.reported);
-    entry["resolve_failures"] = json::Value(stats.resolve_failures);
-    entry["fid2path_calls"] = json::Value(stats.fid2path_calls);
-    entry["cache_hit_rate"] = json::Value(stats.cache_hit_rate);
-    entry["last_cleared_index"] = json::Value(stats.last_cleared_index);
-    entry["report_retries"] = json::Value(stats.report_retries);
-    entry["reports_abandoned"] = json::Value(stats.reports_abandoned);
-    entry["spool_depth"] = json::Value(static_cast<uint64_t>(stats.spool_depth));
-    entry["terminal"] = json::Value(std::string(CollectorTerminalName(stats.terminal)));
-    entry["detection_latency"] = json::Value(collector->detection_latency().Summary());
-    collectors.push_back(json::Value(std::move(entry)));
-  }
-  doc["collectors"] = json::Value(std::move(collectors));
-  const auto agg = fleet_->Stats();
-  json::Object aggregator;
-  aggregator["received"] = json::Value(agg.received);
-  aggregator["batches_received"] = json::Value(agg.batches_received);
-  aggregator["published"] = json::Value(agg.published);
-  aggregator["batches_published"] = json::Value(agg.batches_published);
-  aggregator["stored"] = json::Value(agg.stored);
-  aggregator["decode_errors"] = json::Value(agg.decode_errors);
-  if (fleet_->shards() == 1) {
-    // Historical flat document: one shard's store range and latency.
-    aggregator["store_first_seq"] = json::Value(fleet_->shard(0).store().FirstSeq());
-    aggregator["store_last_seq"] = json::Value(fleet_->shard(0).store().LastSeq());
-    aggregator["delivery_latency"] =
-        json::Value(fleet_->shard(0).delivery_latency().Summary());
-  }
-  aggregator["checkpointed"] = json::Value(agg.checkpointed);
-  doc["aggregator"] = json::Value(std::move(aggregator));
-  if (fleet_->shards() > 1) {
-    // Store ranges live in per-shard sequence namespaces, so a flat
-    // min/max would be meaningless — break them out per shard instead.
-    json::Array shards;
-    const auto shard_stats = fleet_->ShardStats();
-    for (size_t i = 0; i < fleet_->shards(); ++i) {
-      const Aggregator& shard = fleet_->shard(i);
-      json::Object entry;
-      entry["shard"] = json::Value(static_cast<int64_t>(i));
-      entry["received"] = json::Value(shard_stats[i].received);
-      entry["published"] = json::Value(shard_stats[i].published);
-      entry["stored"] = json::Value(shard_stats[i].stored);
-      entry["decode_errors"] = json::Value(shard_stats[i].decode_errors);
-      entry["checkpointed"] = json::Value(shard_stats[i].checkpointed);
-      entry["store_first_seq"] = json::Value(shard.store().FirstSeq());
-      entry["store_last_seq"] = json::Value(shard.store().LastSeq());
-      entry["delivery_latency"] = json::Value(shard.delivery_latency().Summary());
-      shards.push_back(json::Value(std::move(entry)));
-    }
-    doc["aggregator_shards"] = json::Value(std::move(shards));
-  }
-
-  if (!obs.subscribers.empty() || !obs.recovering_subscribers.empty()) {
-    json::Array subscribers;
-    for (const EventSubscriber* sub : obs.subscribers) {
-      if (sub == nullptr) continue;
-      json::Object entry;
-      entry["type"] = json::Value(std::string("plain"));
-      // Only socket-level counters here: they are atomic, while the
-      // subscriber's received tally belongs to its consuming thread.
-      entry["dropped_at_socket"] = json::Value(sub->dropped_at_socket());
-      subscribers.push_back(json::Value(std::move(entry)));
-    }
-    for (const RecoveringSubscriber* sub : obs.recovering_subscribers) {
-      if (sub == nullptr) continue;
-      json::Object entry;
-      entry["type"] = json::Value(std::string("recovering"));
-      entry["dropped_at_socket"] = json::Value(sub->dropped_at_socket());
-      entry["received"] = json::Value(sub->received());
-      entry["next_expected"] = json::Value(sub->next_expected());
-      entry["gaps_detected"] = json::Value(sub->gaps_detected());
-      entry["events_backfilled"] = json::Value(sub->events_backfilled());
-      entry["events_unrecoverable"] = json::Value(sub->events_unrecoverable());
-      subscribers.push_back(json::Value(std::move(entry)));
-    }
-    doc["subscribers"] = json::Value(std::move(subscribers));
-  }
-
-  if (obs.aggregator_supervisor != nullptr) {
-    const AggregatorSupervisor& sup = *obs.aggregator_supervisor;
-    json::Object supervisor;
-    supervisor["crashes"] = json::Value(sup.crashes());
-    supervisor["restarts"] = json::Value(sup.restarts());
-    supervisor["checkpoint_next_seq"] = json::Value(sup.NextSeq());
-    supervisor["checkpointed_events"] = json::Value(sup.checkpoint().TotalAppended());
-    doc["aggregator_supervisor"] = json::Value(std::move(supervisor));
-  }
-  return json::Value(std::move(doc));
+std::vector<const Collector*> Monitor::collectors() const {
+  std::vector<const Collector*> collectors;
+  collectors.reserve(collectors_.size());
+  for (const auto& collector : collectors_) collectors.push_back(collector.get());
+  return collectors;
 }
 
 std::vector<ResourceUsage> Monitor::Usage(VirtualDuration elapsed) const {

@@ -1,9 +1,11 @@
-// Monitor: the orchestrator wiring one Collector per MDS to an Aggregator.
+// Monitor: the orchestrator wiring one Collector per MDS to an aggregator
+// fleet.
 //
 // This is the paper's Figure 2 in object form: N MDS ChangeLogs, N
-// Collectors, one Aggregator publishing a complete site-wide event stream
-// plus a historic-events API. Consumers attach with EventSubscriber /
-// HistoryClient on the configured endpoints.
+// Collectors, and the aggregator role publishing a complete site-wide
+// event stream plus a historic-events API. Consumers attach with
+// EventSubscriber / HistoryClient on the configured endpoints. Its health
+// document is ripple::FleetStatusJson over collectors() and fleet().
 #pragma once
 
 #include <memory>
@@ -19,27 +21,12 @@
 
 namespace sdci::monitor {
 
-class AggregatorSupervisor;
-class EventSubscriber;
-class RecoveringSubscriber;
-
-// Optional external components StatusJson can fold into the status
-// document: attached consumers and (when the deployment is supervised)
-// the aggregator's supervisor. All pointers are observed, not owned, and
-// may be null / empty.
-struct MonitorObservability {
-  const AggregatorSupervisor* aggregator_supervisor = nullptr;
-  std::vector<const EventSubscriber*> subscribers;
-  std::vector<const RecoveringSubscriber*> recovering_subscribers;
-};
-
 struct MonitorConfig {
   CollectorConfig collector;
   AggregatorConfig aggregator;
-  // Aggregator fleet width. 1 (the default) deploys the historical single
-  // aggregator unchanged; N > 1 deploys N shards and routes collector i to
-  // shard i % N (fleet.h). Endpoints in `aggregator` become per-shard
-  // bases ("<base>.<i>").
+  // Aggregator fleet width: N shards, collector i routed to shard i % N
+  // (fleet.h). Every width has the same shard shape; for N > 1 the
+  // endpoints in `aggregator` become per-shard bases ("<base>.<i>").
   size_t aggregator_shards = 1;
 
   // Keeps the two halves' endpoints and transport consistent.
@@ -58,8 +45,7 @@ struct MonitorConfig {
 
 struct MonitorStats {
   std::vector<CollectorStats> collectors;
-  // Fleet-total (sum over shards); identical to the single aggregator's
-  // stats when aggregator_shards == 1.
+  // Fleet-total (sum over shards), then one entry per shard.
   AggregatorStats aggregator;
   std::vector<AggregatorStats> aggregator_shards;
   uint64_t total_extracted = 0;
@@ -82,25 +68,16 @@ class Monitor {
   void Stop();
 
   [[nodiscard]] MonitorStats Stats() const;
-  // Shard 0 — the whole fleet when aggregator_shards == 1 (the common
-  // case); multi-shard callers should go through fleet().
-  [[nodiscard]] const Aggregator& aggregator() const { return fleet_->shard(0); }
-  [[nodiscard]] Aggregator& aggregator() { return fleet_->shard(0); }
   [[nodiscard]] const AggregatorFleet& fleet() const noexcept { return *fleet_; }
   [[nodiscard]] AggregatorFleet& fleet() noexcept { return *fleet_; }
   [[nodiscard]] size_t CollectorCount() const noexcept { return collectors_.size(); }
   [[nodiscard]] Collector& collector(size_t i) noexcept { return *collectors_[i]; }
+  // Every collector, in MDT order (FleetComponents::collectors).
+  [[nodiscard]] std::vector<const Collector*> collectors() const;
   [[nodiscard]] const MonitorConfig& config() const noexcept { return config_; }
 
   // Per-component resource usage over `elapsed` (Table 3 rows).
   [[nodiscard]] std::vector<ResourceUsage> Usage(VirtualDuration elapsed) const;
-
-  // Full status document (stats + latency summaries), for operator
-  // tooling and remote health checks. The observability overload adds
-  // consumer-side health (socket drops, gap/backfill counters) and
-  // supervisor crash/restart/checkpoint telemetry.
-  [[nodiscard]] json::Value StatusJson() const;
-  [[nodiscard]] json::Value StatusJson(const MonitorObservability& obs) const;
 
  private:
   MonitorConfig config_;

@@ -133,13 +133,7 @@ void ServePlane::HandleApiRequest(msgq::Request& request) {
   }
   const json::Value& query = *parsed;
   if (query.GetString("op") == "stats") {
-    // Stats channel: the same REQ/REP socket that serves history answers
-    // fleet status (SLO alerts, flow ledger, watermarks) when the owner
-    // wired a provider; a bare shard answers with its fleet position.
-    if (config_->status_provider) {
-      request.Reply(msgq::Message("api.stats", config_->status_provider()));
-      return;
-    }
+    // Stats channel: the shard's fleet position and catalog head.
     json::Object stats;
     stats["shard"] = json::Value(static_cast<int64_t>(config_->shard_index));
     stats["shards"] = json::Value(static_cast<int64_t>(config_->shard_count));

@@ -36,22 +36,52 @@ json::Value FleetStatusJson(const FleetComponents& fleet) {
     section["verdict"] = json::Value(verdict);
   };
 
-  if (fleet.collector_supervisor != nullptr) {
-    const auto& sup = *fleet.collector_supervisor;
+  if (fleet.collector_supervisor != nullptr || !fleet.collectors.empty()) {
     json::Object section;
+    json::Array mdts;
     uint64_t extracted = 0;
     uint64_t reported = 0;
     uint64_t resolve_failures = 0;
     uint64_t reports_abandoned = 0;
     uint64_t events_spooled = 0;
     uint64_t spool_depth = 0;
-    for (const auto& stats : sup.Stats()) {
+    const auto entry_of = [&](int mdt, const monitor::CollectorStats& stats) {
       extracted += stats.extracted;
       reported += stats.reported;
       resolve_failures += stats.resolve_failures;
       reports_abandoned += stats.reports_abandoned;
       events_spooled += stats.events_spooled;
       spool_depth += stats.spool_depth;
+      json::Object entry;
+      entry["mdt"] = json::Value(static_cast<int64_t>(mdt));
+      entry["extracted"] = json::Value(stats.extracted);
+      entry["processed"] = json::Value(stats.processed);
+      entry["reported"] = json::Value(stats.reported);
+      entry["resolve_failures"] = json::Value(stats.resolve_failures);
+      entry["fid2path_calls"] = json::Value(stats.fid2path_calls);
+      entry["cache_hit_rate"] = json::Value(stats.cache_hit_rate);
+      entry["last_cleared_index"] = json::Value(stats.last_cleared_index);
+      entry["report_retries"] = json::Value(stats.report_retries);
+      entry["reports_abandoned"] = json::Value(stats.reports_abandoned);
+      entry["spool_depth"] = json::Value(stats.spool_depth);
+      entry["terminal"] =
+          json::Value(std::string(monitor::CollectorTerminalName(stats.terminal)));
+      return entry;
+    };
+    if (fleet.collector_supervisor != nullptr) {
+      const auto& sup = *fleet.collector_supervisor;
+      const auto stats = sup.Stats();  // indexed by MDT
+      for (size_t mdt = 0; mdt < stats.size(); ++mdt) {
+        mdts.push_back(json::Value(entry_of(static_cast<int>(mdt), stats[mdt])));
+      }
+      section["crashes"] = json::Value(sup.crashes());
+      section["restarts"] = json::Value(sup.restarts());
+    }
+    for (const monitor::Collector* collector : fleet.collectors) {
+      if (collector == nullptr) continue;
+      json::Object entry = entry_of(collector->mdt_index(), collector->Stats());
+      entry["detection_latency"] = json::Value(collector->detection_latency().Summary());
+      mdts.push_back(json::Value(std::move(entry)));
     }
     section["extracted"] = json::Value(extracted);
     section["reported"] = json::Value(reported);
@@ -59,8 +89,7 @@ json::Value FleetStatusJson(const FleetComponents& fleet) {
     section["reports_abandoned"] = json::Value(reports_abandoned);
     section["events_spooled"] = json::Value(events_spooled);
     section["spool_depth"] = json::Value(spool_depth);
-    section["crashes"] = json::Value(sup.crashes());
-    section["restarts"] = json::Value(sup.restarts());
+    section["mdts"] = json::Value(std::move(mdts));
     // fid2path failures mean events went out with a fid placeholder
     // instead of a path: delivered, but lossy for path-matching rules.
     // Abandoned reports are a collector that stopped with undelivered
@@ -71,83 +100,64 @@ json::Value FleetStatusJson(const FleetComponents& fleet) {
     doc["collectors"] = json::Value(std::move(section));
   }
 
-  if (fleet.aggregator_supervisor != nullptr) {
-    const auto& sup = *fleet.aggregator_supervisor;
-    const auto stats = sup.Stats();
-    json::Object section;
-    section["up"] = json::Value(sup.IsUp());
-    section["received"] = json::Value(stats.received);
-    section["published"] = json::Value(stats.published);
-    section["stored"] = json::Value(stats.stored);
-    section["decode_errors"] = json::Value(stats.decode_errors);
-    section["checkpointed"] = json::Value(stats.checkpointed);
-    section["crashes"] = json::Value(sup.crashes());
-    section["restarts"] = json::Value(sup.restarts());
-    section["next_seq"] = json::Value(sup.NextSeq());
-    std::string verdict = "up";
-    if (stats.decode_errors > 0) verdict = "degraded";
-    if (!sup.IsUp()) verdict = "down";
-    fold(section, verdict);
-    doc["aggregator"] = json::Value(std::move(section));
-  }
-
-  if (!fleet.aggregator_shards.empty()) {
+  if (fleet.aggregators != nullptr) {
     // Per-shard verdicts plus a fleet-total rollup: one shard mid-restart
-    // marks the fleet "down" exactly as a single aggregator would, but the
-    // array shows which shard (and the others' health) at a glance.
+    // marks the fleet "down", and the array shows which shard (and the
+    // others' health) at a glance. Store ranges live in per-shard sequence
+    // namespaces, so they appear per shard only.
+    const monitor::AggregatorFleet& aggregators = *fleet.aggregators;
     json::Array shards;
-    json::Object total;
-    uint64_t received = 0;
-    uint64_t published = 0;
-    uint64_t stored = 0;
-    uint64_t decode_errors = 0;
-    uint64_t checkpointed = 0;
+    monitor::AggregatorStats total;
     uint64_t crashes = 0;
     uint64_t restarts = 0;
-    size_t shard_index = 0;
+    bool all_up = true;
     int worst_shard = 0;
-    for (const monitor::AggregatorSupervisor* sup : fleet.aggregator_shards) {
-      if (sup == nullptr) continue;
-      const auto stats = sup->Stats();
+    for (size_t i = 0; i < aggregators.shards(); ++i) {
+      const monitor::AggregatorShardStatus status = aggregators.Status(i);
+      const monitor::AggregatorStats& stats = status.stats;
       json::Object section;
-      section["shard"] = json::Value(static_cast<int64_t>(shard_index++));
-      section["up"] = json::Value(sup->IsUp());
-      section["in_outage"] = json::Value(sup->InOutage());
+      section["shard"] = json::Value(static_cast<int64_t>(i));
+      section["up"] = json::Value(status.up);
+      section["in_outage"] = json::Value(status.in_outage);
       section["received"] = json::Value(stats.received);
       section["published"] = json::Value(stats.published);
       section["stored"] = json::Value(stats.stored);
       section["decode_errors"] = json::Value(stats.decode_errors);
       section["checkpointed"] = json::Value(stats.checkpointed);
-      section["crashes"] = json::Value(sup->crashes());
-      section["restarts"] = json::Value(sup->restarts());
-      section["next_seq"] = json::Value(sup->NextSeq());
+      section["crashes"] = json::Value(status.crashes);
+      section["restarts"] = json::Value(status.restarts);
+      section["next_seq"] = json::Value(status.next_seq);
+      section["store_first_seq"] = json::Value(status.store_first_seq);
+      section["store_last_seq"] = json::Value(status.store_last_seq);
+      section["delivery_latency"] = json::Value(status.delivery_latency);
       std::string verdict = "up";
       if (stats.decode_errors > 0) verdict = "degraded";
-      if (!sup->IsUp()) verdict = "down";
+      if (!status.up) verdict = "down";
       worst_shard = std::max(worst_shard, Rank(verdict));
       fold(section, verdict);
       shards.push_back(json::Value(std::move(section)));
-      received += stats.received;
-      published += stats.published;
-      stored += stats.stored;
-      decode_errors += stats.decode_errors;
-      checkpointed += stats.checkpointed;
-      crashes += sup->crashes();
-      restarts += sup->restarts();
+      total += stats;
+      crashes += status.crashes;
+      restarts += status.restarts;
+      all_up = all_up && status.up;
     }
     doc["aggregator_shards"] = json::Value(std::move(shards));
-    total["shards"] = json::Value(static_cast<int64_t>(shard_index));
-    total["received"] = json::Value(received);
-    total["published"] = json::Value(published);
-    total["stored"] = json::Value(stored);
-    total["decode_errors"] = json::Value(decode_errors);
-    total["checkpointed"] = json::Value(checkpointed);
-    total["crashes"] = json::Value(crashes);
-    total["restarts"] = json::Value(restarts);
+    json::Object section;
+    section["shards"] = json::Value(static_cast<int64_t>(aggregators.shards()));
+    section["up"] = json::Value(all_up);
+    section["received"] = json::Value(total.received);
+    section["batches_received"] = json::Value(total.batches_received);
+    section["published"] = json::Value(total.published);
+    section["batches_published"] = json::Value(total.batches_published);
+    section["stored"] = json::Value(total.stored);
+    section["decode_errors"] = json::Value(total.decode_errors);
+    section["checkpointed"] = json::Value(total.checkpointed);
+    section["crashes"] = json::Value(crashes);
+    section["restarts"] = json::Value(restarts);
     // Per-shard verdicts already folded into `overall`; the rollup's own
     // verdict is the worst shard's, for one-stop reads.
-    total["verdict"] = json::Value(std::string(Name(worst_shard)));
-    doc["aggregator"] = json::Value(std::move(total));
+    section["verdict"] = json::Value(std::string(Name(worst_shard)));
+    doc["aggregator"] = json::Value(std::move(section));
   }
 
   if (fleet.shard_health != nullptr) {
@@ -179,11 +189,22 @@ json::Value FleetStatusJson(const FleetComponents& fleet) {
     doc["shard_health_total"] = json::Value(std::move(rollup));
   }
 
-  if (!fleet.subscribers.empty()) {
+  if (!fleet.plain_subscribers.empty() || !fleet.subscribers.empty()) {
     json::Array subscribers;
+    for (const monitor::EventSubscriber* sub : fleet.plain_subscribers) {
+      if (sub == nullptr) continue;
+      json::Object section;
+      section["type"] = json::Value(std::string("plain"));
+      // Only socket-level counters: they are atomic, while the
+      // subscriber's received tally belongs to its consuming thread.
+      section["dropped_at_socket"] = json::Value(sub->dropped_at_socket());
+      fold(section, "up");
+      subscribers.push_back(json::Value(std::move(section)));
+    }
     for (const monitor::RecoveringSubscriber* sub : fleet.subscribers) {
       if (sub == nullptr) continue;
       json::Object section;
+      section["type"] = json::Value(std::string("recovering"));
       section["received"] = json::Value(sub->received());
       section["next_expected"] = json::Value(sub->next_expected());
       section["gaps_detected"] = json::Value(sub->gaps_detected());

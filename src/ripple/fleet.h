@@ -1,13 +1,13 @@
-// Fleet status: one call folding the whole deployment's telemetry —
-// collectors, aggregator (supervised or standalone), gap-healing
+// Fleet status: the deployment's one health document. One call folds
+// collectors, the aggregator fleet (one shard or N, supervised or not),
 // subscribers, the messaging fabric's fault injectors, and the cloud
-// service — into a single health document with per-component verdicts.
+// service into per-component verdicts.
 //
 // Verdicts are "up", "degraded" (running but losing or mangling work:
 // decode errors, unrecoverable events, dead letters), or "down" (a
-// supervised aggregator between a crash and its restart). The document's
-// "overall" field is the worst verdict observed, so an operator's health
-// probe is one string compare.
+// supervised aggregator shard between a crash and its restart). The
+// document's "overall" field is the worst verdict observed, so an
+// operator's health probe is one string compare.
 #pragma once
 
 #include <string>
@@ -15,8 +15,9 @@
 
 #include "common/metrics.h"
 #include "common/slo.h"
-#include "monitor/aggregator_supervisor.h"
+#include "monitor/collector.h"
 #include "monitor/consumer.h"
+#include "monitor/fleet.h"
 #include "monitor/flow_ledger.h"
 #include "monitor/shard_health.h"
 #include "monitor/supervisor.h"
@@ -29,17 +30,22 @@ namespace sdci::ripple {
 // Everything FleetStatusJson can fold in. All pointers are observed, not
 // owned, and any of them may be null (the matching section is omitted).
 struct FleetComponents {
+  // The collector side, supervised or plain (a Monitor's collectors()):
+  // one "collectors" rollup with a per-MDT "mdts" array. Plain collectors
+  // add their detection latency.
   const monitor::CollectorSupervisor* collector_supervisor = nullptr;
-  const monitor::AggregatorSupervisor* aggregator_supervisor = nullptr;
-  // Sharded deployments: one supervisor per aggregator shard, in shard
-  // order. Folds into an "aggregator_shards" array (verdict per shard)
-  // plus a fleet-total "aggregator" section; mutually exclusive with
-  // `aggregator_supervisor` by convention.
-  std::vector<const monitor::AggregatorSupervisor*> aggregator_shards;
+  std::vector<const monitor::Collector*> collectors;
+  // The aggregator side. Folds into an "aggregator_shards" array (verdict,
+  // counts, store range and delivery latency per shard) plus a fleet-total
+  // "aggregator" section.
+  const monitor::AggregatorFleet* aggregators = nullptr;
   // The federation layer's per-shard circuit breakers; folds into a
   // "shard_health" array (breaker state, trips, probes, down-signal per
   // shard), degraded while any breaker is open.
   const monitor::ShardHealthTracker* shard_health = nullptr;
+  // Subscribers fold into one "subscribers" array, plain ones first
+  // (socket drops only), then the gap-healing ones.
+  std::vector<const monitor::EventSubscriber*> plain_subscribers;
   std::vector<const monitor::RecoveringSubscriber*> subscribers;
   const CloudService* cloud = nullptr;
   // Fault telemetry is per endpoint: list the endpoints worth reporting
@@ -61,8 +67,9 @@ struct FleetComponents {
 };
 
 // {"overall": "up|degraded|down",
-//  "collectors": {...}, "aggregator": {...}, "subscribers": [...],
-//  "msgq": [...], "cloud": {...}, "metrics": {...}}
+//  "collectors": {..., "mdts": [...]}, "aggregator": {...},
+//  "aggregator_shards": [...], "subscribers": [...], "msgq": [...],
+//  "cloud": {...}, "metrics": {...}}
 // Each component section carries a "verdict" plus its key counters.
 [[nodiscard]] json::Value FleetStatusJson(const FleetComponents& fleet);
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <thread>
 
+#include "common/metrics.h"
 #include "monitor/consumer.h"
 
 namespace sdci::monitor {
@@ -103,6 +104,46 @@ TEST_F(AggregatorSupervisorTest, RestartKeepsSequencesMonotoneAndHistoryContiguo
   EXPECT_EQ(stats.received, 10u) << "cumulative across incarnations";
   EXPECT_EQ(stats.checkpointed, 10u);
   EXPECT_EQ(stats.decode_errors, 0u);
+}
+
+// One counter store: the supervisor's Stats() after a crash are the
+// registry series every incarnation counted into, not a banked sum.
+TEST_F(AggregatorSupervisorTest, StatsAfterACrashAreTheRegistrySeries) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  auto config = Config();
+  config.metrics = registry;
+  AggregatorSupervisor supervisor(profile_, authority_, context_, config,
+                                  SupervisorConfig());
+  supervisor.Start();
+  auto pub = context_.CreatePub(config.collect_endpoint);
+  Send(*pub, {Event(1), Event(2), Event(3)});
+  ASSERT_TRUE(WaitFor([&] {
+    const auto stats = supervisor.Stats();
+    return stats.stored == 3 && stats.published == 3;
+  }));
+  supervisor.InjectCrash();
+  ASSERT_TRUE(WaitFor([&] { return supervisor.restarts() >= 1; }));
+  Send(*pub, {Event(4), Event(5)});
+  ASSERT_TRUE(WaitFor([&] {
+    const auto stats = supervisor.Stats();
+    return stats.stored == 5 && stats.published == 5;
+  }));
+  supervisor.Stop();
+
+  const auto series = [&](const char* name) {
+    return registry->GetCounter(name, {{"shard", "0"}})->Get();
+  };
+  const auto stats = supervisor.Stats();
+  EXPECT_EQ(stats.received, 5u);
+  EXPECT_EQ(stats.received, series("sdci_aggregator_received_total"));
+  EXPECT_EQ(stats.batches_received, series("sdci_aggregator_batches_received_total"));
+  EXPECT_EQ(stats.published, series("sdci_aggregator_published_total"));
+  EXPECT_EQ(stats.batches_published, series("sdci_aggregator_batches_published_total"));
+  EXPECT_EQ(stats.stored, series("sdci_aggregator_stored_total"))
+      << "the WAL replay after the restart is not a store-thread append";
+  EXPECT_EQ(stats.stored, 5u);
+  EXPECT_EQ(stats.decode_errors, series("sdci_aggregator_decode_errors_total"));
+  EXPECT_EQ(stats.checkpointed, 5u);
 }
 
 TEST_F(AggregatorSupervisorTest, PreCrashEventsFetchableWithoutNewTraffic) {

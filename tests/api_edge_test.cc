@@ -28,6 +28,42 @@ TEST(ApiEdge, MalformedQueryGetsErrorEnvelope) {
   aggregator.Stop();
 }
 
+// The stats op answers with the shard's fleet position and catalog head,
+// on the same socket as history pages.
+TEST(ApiEdge, StatsOpRepliesWithFleetPositionAndLastSeq) {
+  TimeAuthority authority(2000.0);
+  const auto profile = lustre::TestbedProfile::Test();
+  msgq::Context context;
+  AggregatorConfig config;
+  config.shard_index = 1;
+  config.shard_count = 3;
+  Aggregator aggregator(profile, authority, context, config);
+  aggregator.Start();
+  auto pub = context.CreatePub(config.collect_endpoint);
+  std::vector<FsEvent> batch(4);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].record_index = i + 1;
+    batch[i].path = "/s" + std::to_string(i);
+  }
+  pub->Publish(msgq::Message("collect.mdt0", EncodeEventBatch(batch)));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (aggregator.Stats().stored < batch.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(aggregator.Stats().stored, batch.size());
+
+  auto req = context.CreateReq(config.api_endpoint);
+  auto reply = req->RequestReply(msgq::Message("api.query", R"({"op":"stats"})"),
+                                 std::chrono::seconds(5));
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->topic, "api.stats");
+  auto parsed = json::Parse(reply->bytes());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, *json::Parse(R"({"shard":1,"shards":3,"last_seq":4})"));
+  aggregator.Stop();
+}
+
 // Page arguments are JSON numbers: a negative max or from_seq gets the
 // error envelope (a negative max once wrapped to a huge size_t and
 // returned the whole catalog), and out-of-range values saturate instead

@@ -295,6 +295,74 @@ TEST_F(CollectorTest, StartStopThreadDrains) {
   EXPECT_EQ(collector.Stats().reported, 10u);
 }
 
+// A collector that stopped with its reports abandoned (no aggregator was
+// reachable) resumes from its first unpurged record when started again:
+// the abandoned records are delivered, not retained forever behind the
+// cursor.
+TEST_F(CollectorTest, RestartAfterAbandonedReportsDeliversThem) {
+  auto config = Config();
+  config.poll_interval = Millis(1);
+  config.collect_endpoint = "inproc://abandon";
+  Collector collector(fs_, 0, profile_, authority_, context_, config);
+  collector.Start();
+  ASSERT_TRUE(fs_.Create("/r1").ok());
+  ASSERT_TRUE(fs_.Create("/r2").ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (collector.Stats().report_retries == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  collector.Stop();
+  ASSERT_EQ(collector.Stats().terminal, CollectorTerminal::kReportsAbandoned);
+  ASSERT_EQ(fs_.Mds(0).changelog().RetainedCount(), 2u);
+
+  auto sub = context_.CreateSub(config.collect_endpoint, 1024);
+  sub->Subscribe("");
+  collector.Start();
+  while (collector.Stats().reported < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  collector.Stop();
+  const auto events = DrainEndpoint(*sub);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].path, "/r1");
+  EXPECT_EQ(events[1].path, "/r2");
+  EXPECT_EQ(fs_.Mds(0).changelog().RetainedCount(), 0u);
+  EXPECT_EQ(collector.Stats().terminal, CollectorTerminal::kCleanStop);
+}
+
+// A clean stop keeps its cursor: with purging off nothing is cleared, so
+// a rewind on restart would deliver every record a second time.
+TEST_F(CollectorTest, CleanRestartKeepsItsCursor) {
+  auto config = Config();
+  config.poll_interval = Millis(1);
+  config.purge = false;
+  config.collect_endpoint = "inproc://clean-restart";
+  auto sub = context_.CreateSub(config.collect_endpoint, 1024);
+  sub->Subscribe("");
+  Collector collector(fs_, 0, profile_, authority_, context_, config);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto await_reported = [&](uint64_t n) {
+    while (collector.Stats().reported < n && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  collector.Start();
+  ASSERT_TRUE(fs_.Create("/k1").ok());
+  ASSERT_TRUE(fs_.Create("/k2").ok());
+  await_reported(2);
+  collector.Stop();
+  ASSERT_EQ(collector.Stats().terminal, CollectorTerminal::kCleanStop);
+  collector.Start();
+  ASSERT_TRUE(fs_.Create("/k3").ok());
+  await_reported(3);
+  collector.Stop();
+  const auto events = DrainEndpoint(*sub);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[2].path, "/k3");
+  EXPECT_EQ(collector.Stats().reported, 3u);
+}
+
 // Follow mode: an idle reader waits in ChangeLog::WaitForRecords for one
 // resolver chunk (read_batch / (2 * workers) = 128 records at defaults),
 // with poll_interval as the longest wait for a partial chunk. With a

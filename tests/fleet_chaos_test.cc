@@ -274,8 +274,7 @@ TEST(FleetChaos, SingleShardOutageSpoolsReplaysAndServesLabeledPartials) {
   // Status document: the shard outage, the breaker, and the firing
   // alerts are all visible in one read.
   ripple::FleetComponents components;
-  components.aggregator_shards = {fleet.supervisor(0), fleet.supervisor(1),
-                                  fleet.supervisor(2), fleet.supervisor(3)};
+  components.aggregators = &fleet;
   components.shard_health = health.get();
   components.watermarks = watermarks.get();
   components.flow = flow.get();

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "monitor/federation.h"
 #include "monitor/fleet.h"
 #include "ripple/agent.h"
@@ -427,7 +428,7 @@ TEST_F(FleetTest, AgentConsumesFederatedFeedAndStatusBreaksOutShards) {
   ASSERT_TRUE(WaitFor([&] { return fleet.Stats().stored >= 5; }));
 
   ripple::FleetComponents components;
-  components.aggregator_shards = {fleet.supervisor(0), fleet.supervisor(1)};
+  components.aggregators = &fleet;
   const json::Value status = ripple::FleetStatusJson(components);
   EXPECT_EQ(status.GetString("overall"), "up");
   ASSERT_TRUE(status.Has("aggregator_shards"));
@@ -443,6 +444,48 @@ TEST_F(FleetTest, AgentConsumesFederatedFeedAndStatusBreaksOutShards) {
   EXPECT_EQ(status["aggregator"].GetString("verdict"), "up");
 
   agent.Stop();
+  fleet.Stop();
+}
+
+// Supervised shards on one registry keep their own supervisor series: a
+// crash of shard 0 is shard 0's alone, the fleet total counts it once,
+// and each shard's checkpoint gauges stay registered.
+TEST_F(FleetTest, SupervisedShardsOnOneRegistryCountTheirOwnCrashes) {
+  auto registry = std::make_shared<MetricsRegistry>();
+  auto config = Config(2);
+  config.supervised = true;
+  config.shard.metrics = registry;
+  AggregatorFleet fleet(profile_, authority_, context_, config);
+  fleet.Start();
+  auto pub1 = context_.CreatePub(fleet.collect_endpoint(1));
+  Send(*pub1, 1, {Event(1, 1), Event(1, 2)});
+  ASSERT_TRUE(WaitFor([&] { return fleet.supervisor(1)->Stats().stored >= 2; }));
+
+  fleet.supervisor(0)->InjectCrash();
+  EXPECT_EQ(fleet.supervisor(0)->crashes(), 1u);
+  EXPECT_EQ(fleet.supervisor(1)->crashes(), 0u);
+
+  ripple::FleetComponents components;
+  components.aggregators = &fleet;
+  const json::Value status = ripple::FleetStatusJson(components);
+  EXPECT_EQ(status["aggregator"].GetInt("crashes"), 1);
+  const auto& shards = status["aggregator_shards"].AsArray();
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(shards.at(0).GetInt("crashes"), 1);
+  EXPECT_EQ(shards.at(1).GetInt("crashes"), 0);
+  EXPECT_EQ(shards.at(1).GetString("verdict"), "up");
+  EXPECT_EQ(shards.at(1).GetInt("next_seq"), 3);
+  EXPECT_EQ(shards.at(1).GetInt("store_last_seq"), 2);
+
+  const json::Value metrics = registry->ToJson();
+  const auto& next_seq = metrics["gauges"]["sdci_aggregator_checkpoint_next_seq"].AsArray();
+  ASSERT_EQ(next_seq.size(), 2u);
+  for (const json::Value& series : next_seq) {
+    const std::string shard = series["labels"].GetString("shard");
+    EXPECT_EQ(series.GetInt("value"), shard == "1" ? 3 : 1) << shard;
+  }
+  EXPECT_EQ(metrics["counters"]["sdci_aggregator_supervisor_crashes_total"].AsArray().size(),
+            2u);
   fleet.Stop();
 }
 

@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "monitor/consumer.h"
 #include "monitor/monitor.h"
+#include "ripple/fleet.h"
 
 namespace sdci {
 namespace {
@@ -61,14 +62,20 @@ TEST(MonitorStatus, JsonDocumentIsComplete) {
   }
   mon.Stop();
 
-  const json::Value status = mon.StatusJson();
+  ripple::FleetComponents components;
+  components.collectors = mon.collectors();
+  components.aggregators = &mon.fleet();
+  const json::Value status = ripple::FleetStatusJson(components);
   ASSERT_TRUE(status.is_object());
-  const json::Value& collectors = status["collectors"];
+  const json::Value& collectors = status["collectors"]["mdts"];
   ASSERT_TRUE(collectors.is_array());
   EXPECT_EQ(collectors.AsArray().size(), fs.MdsCount());
   EXPECT_EQ(collectors.AsArray()[0].GetInt("extracted"), 5);
+  EXPECT_FALSE(collectors.AsArray()[0].GetString("detection_latency").empty());
   EXPECT_EQ(status["aggregator"].GetInt("published"), 5);
-  EXPECT_FALSE(status["aggregator"].GetString("delivery_latency").empty());
+  ASSERT_EQ(status["aggregator_shards"].AsArray().size(), 1u);
+  EXPECT_FALSE(
+      status["aggregator_shards"].AsArray()[0].GetString("delivery_latency").empty());
   // The document survives a serialization round trip.
   auto reparsed = json::Parse(status.Dump(2));
   ASSERT_TRUE(reparsed.ok());

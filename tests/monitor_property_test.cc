@@ -185,7 +185,7 @@ TEST(MonitorLatency, HistogramsPopulate) {
   const auto& detect = monitor.collector(0).detection_latency();
   EXPECT_EQ(detect.Count(), 50u);
   EXPECT_GT(detect.Mean(), VirtualDuration::zero());
-  const auto& deliver = monitor.aggregator().delivery_latency();
+  const auto& deliver = monitor.fleet().shard(0).delivery_latency();
   EXPECT_EQ(deliver.Count(), 50u);
   // Per event, delivery happens after the detection hand-off — but the two
   // timestamps are taken by different threads, and at 2000x dilation a few

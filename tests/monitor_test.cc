@@ -7,9 +7,12 @@
 
 #include <map>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "monitor/consumer.h"
 #include "monitor/federation.h"
+#include "monitor/flow_ledger.h"
+#include "ripple/fleet.h"
 
 namespace sdci::monitor {
 namespace {
@@ -186,7 +189,7 @@ TEST_F(MonitorTest, UsageReportsAllComponents) {
   const auto usage = monitor.Usage(Seconds(1.0));
   ASSERT_EQ(usage.size(), 3u);  // 2 collectors + aggregator
   EXPECT_EQ(usage[0].component, "collector.0");
-  EXPECT_EQ(usage[2].component, "aggregator");
+  EXPECT_EQ(usage[2].component, "aggregator.0");
 }
 
 TEST_F(MonitorTest, ShardedFleetRoutesMdtsAndDeliversEverything) {
@@ -236,7 +239,10 @@ TEST_F(MonitorTest, ShardedFleetRoutesMdtsAndDeliversEverything) {
 
   // Status document breaks the fleet out per shard; usage reports
   // per-shard components.
-  const auto status = monitor.StatusJson();
+  ripple::FleetComponents components;
+  components.collectors = monitor.collectors();
+  components.aggregators = &monitor.fleet();
+  const auto status = ripple::FleetStatusJson(components);
   ASSERT_TRUE(status.Has("aggregator_shards"));
   EXPECT_EQ(status["aggregator_shards"].AsArray().size(), 2u);
   const auto usage = monitor.Usage(Seconds(1.0));
@@ -246,6 +252,70 @@ TEST_F(MonitorTest, ShardedFleetRoutesMdtsAndDeliversEverything) {
 
   consumer.Close();
   monitor.Stop();
+}
+
+// One shard shape: a fleet of one and a fleet of two give the same status
+// document, label every aggregator series with its shard, and book the
+// ledger under "shard<i>".
+TEST_F(MonitorTest, OneAndTwoShardFleetsShareOneShape) {
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(shards);
+    msgq::Context context;
+    auto fs = MakeFs(2);
+    auto config = Config();
+    config.aggregator_shards = shards;
+    auto registry = std::make_shared<MetricsRegistry>();
+    auto flow = std::make_shared<FlowLedger>();
+    config.SetMetrics(registry);
+    config.SetFlowLedger(flow);
+    Monitor monitor(*fs, profile_, authority_, context, config);
+    monitor.Start();
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(fs->Mkdir("/d" + std::to_string(i)).ok());
+    WaitUntilDrained(*fs, monitor);
+    monitor.Stop();
+
+    ripple::FleetComponents components;
+    components.collectors = monitor.collectors();
+    components.aggregators = &monitor.fleet();
+    const json::Value status = ripple::FleetStatusJson(components);
+    const auto& shard_docs = status["aggregator_shards"].AsArray();
+    ASSERT_EQ(shard_docs.size(), shards);
+    int64_t received = 0;
+    for (size_t i = 0; i < shards; ++i) {
+      const json::Value& shard = shard_docs.at(i);
+      EXPECT_EQ(shard.GetInt("shard"), static_cast<int64_t>(i));
+      EXPECT_EQ(shard.GetString("verdict"), "up");
+      EXPECT_EQ(shard.GetInt("received"),
+                static_cast<int64_t>(monitor.fleet().shard(i).Stats().received));
+      EXPECT_EQ(shard.GetInt("store_last_seq"), shard.GetInt("received"));
+      EXPECT_FALSE(shard.GetString("delivery_latency").empty());
+      received += shard.GetInt("received");
+    }
+    EXPECT_EQ(received, 4);
+    EXPECT_EQ(status["aggregator"].GetInt("shards"), static_cast<int64_t>(shards));
+    EXPECT_EQ(status["aggregator"].GetInt("received"), 4);
+    EXPECT_EQ(status["collectors"]["mdts"].AsArray().size(), 2u);
+    EXPECT_EQ(status.GetString("overall"), "up");
+
+    // Every aggregator series carries its shard label; shard 0's counts
+    // are its Stats().
+    const json::Value metrics = registry->ToJson();
+    const auto& series = metrics["counters"]["sdci_aggregator_received_total"].AsArray();
+    ASSERT_EQ(series.size(), shards);
+    EXPECT_EQ(series.at(0)["labels"], *json::Parse(R"({"shard":"0"})"));
+    EXPECT_EQ(series.at(0).GetInt("value"),
+              static_cast<int64_t>(monitor.fleet().shard(0).Stats().received));
+
+    // The ledger books shard i as "shard<i>", balanced at quiesce.
+    size_t shard0_rows = 0;
+    for (const FlowLedger::Row& row : flow->Audit().rows) {
+      EXPECT_NE(row.instance, "aggregator");
+      if (row.instance != "shard0") continue;
+      ++shard0_rows;
+      EXPECT_EQ(row.imbalance, 0) << row.boundary;
+    }
+    EXPECT_EQ(shard0_rows, 2u) << "store and publish; no WAL without a checkpoint";
+  }
 }
 
 TEST_F(MonitorTest, StopIsIdempotentAndRestartable) {

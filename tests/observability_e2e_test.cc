@@ -13,8 +13,8 @@
 #include "common/slo.h"
 #include "common/tracing.h"
 #include "lustre/client.h"
-#include "monitor/aggregator_supervisor.h"
 #include "monitor/consumer.h"
+#include "monitor/fleet.h"
 #include "monitor/flow_ledger.h"
 #include "monitor/monitor.h"
 #include "monitor/supervisor.h"
@@ -54,16 +54,17 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
   context.AttachMetrics(registry);
   SloEvaluator slo(registry, DefaultFleetRules());
 
-  // Supervised aggregator (the checkpoint gives wal.append spans).
-  monitor::AggregatorConfig agg_config;
+  // Supervised fleet of one (the checkpoint gives wal.append spans).
+  monitor::AggregatorFleetConfig agg_fleet_config;
+  agg_fleet_config.supervised = true;
+  monitor::AggregatorConfig& agg_config = agg_fleet_config.shard;
   agg_config.store_capacity = 1u << 20;
   agg_config.metrics = registry;
   agg_config.tracer = tracer;
   agg_config.flow = flow;
   agg_config.watermarks = watermarks;
-  monitor::AggregatorSupervisor agg_supervisor(profile, authority, context,
-                                               agg_config);
-  agg_supervisor.Start();
+  monitor::AggregatorFleet aggregators(profile, authority, context, agg_fleet_config);
+  aggregators.Start();
 
   // Supervised collectors (no fault injection: clean single journey).
   monitor::CollectorConfig collector_config;
@@ -244,7 +245,7 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
   // Fleet health over the live deployment: everything healthy.
   ripple::FleetComponents fleet;
   fleet.collector_supervisor = &supervisor;
-  fleet.aggregator_supervisor = &agg_supervisor;
+  fleet.aggregators = &aggregators;
   fleet.subscribers = {agent.recovering_source()};
   fleet.cloud = &cloud;
   fleet.context = &context;
@@ -279,7 +280,7 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
   agent.Stop();
   cloud.Stop();
   supervisor.Stop();
-  agg_supervisor.Stop();
+  aggregators.Stop();
 
   // Quiesce-time conservation: with every component stopped, each
   // (boundary, instance) ledger row must balance exactly — Σin equals
@@ -321,8 +322,9 @@ TEST(ObservabilityE2E, TracedEventCrossesEveryPipelineStage) {
   EXPECT_EQ(watermarks->Head(), frontier.begin()->second);
 }
 
-// Satellite: Monitor::StatusJson(MonitorObservability) must surface live
-// supervisor and subscriber telemetry, not just zeros.
+// The monitor's status document (FleetStatusJson over its collectors and
+// fleet) must surface live subscriber telemetry, and a supervised fleet's
+// document its crash/restart/checkpoint telemetry, not just zeros.
 TEST(ObservabilityE2E, MonitorStatusJsonCarriesLiveObservability) {
   TimeAuthority authority(2000.0);
   const auto profile = lustre::TestbedProfile::Test();
@@ -347,19 +349,19 @@ TEST(ObservabilityE2E, MonitorStatusJsonCarriesLiveObservability) {
   monitor::RecoveringSubscriber rec(context, config.aggregator.publish_endpoint,
                                     config.aggregator.api_endpoint, rec_config);
 
-  // A crash-looping supervised aggregator on its own endpoints, purely to
-  // exercise the supervisor section with nonzero counters.
-  monitor::AggregatorConfig sup_agg_config;
-  sup_agg_config.collect_endpoint = "inproc://statusjson.collect";
-  sup_agg_config.publish_endpoint = "inproc://statusjson.events";
-  sup_agg_config.api_endpoint = "inproc://statusjson.api";
-  monitor::AggregatorSupervisorConfig sup_config;
-  sup_config.check_interval = Millis(5);
-  sup_config.crash_prob_per_check = 0.5;
-  sup_config.fault_seed = 11;
-  monitor::AggregatorSupervisor agg_supervisor(profile, authority, context,
-                                               sup_agg_config, sup_config);
-  agg_supervisor.Start();
+  // A crash-looping supervised fleet of one on its own endpoints, purely
+  // to exercise the supervisor fields with nonzero counters.
+  monitor::AggregatorFleetConfig sup_fleet_config;
+  sup_fleet_config.supervised = true;
+  sup_fleet_config.shard.collect_endpoint = "inproc://statusjson.collect";
+  sup_fleet_config.shard.publish_endpoint = "inproc://statusjson.events";
+  sup_fleet_config.shard.api_endpoint = "inproc://statusjson.api";
+  sup_fleet_config.supervisor.check_interval = Millis(5);
+  sup_fleet_config.supervisor.crash_prob_per_check = 0.5;
+  sup_fleet_config.supervisor.fault_seed = 11;
+  monitor::AggregatorFleet sup_fleet(profile, authority, context, sup_fleet_config);
+  const monitor::AggregatorSupervisor& agg_supervisor = *sup_fleet.supervisor(0);
+  sup_fleet.Start();
 
   lustre::Client client(fs, profile, authority);
   ASSERT_TRUE(client.MkdirAll("/hot").ok());
@@ -382,13 +384,14 @@ TEST(ObservabilityE2E, MonitorStatusJsonCarriesLiveObservability) {
     client.FlushDelay();
     (void)rec.NextBatchFor(std::chrono::milliseconds(20));
   }
-  agg_supervisor.Stop();  // freeze crash/restart counters before asserting
+  sup_fleet.Stop();  // freeze crash/restart counters before asserting
 
-  monitor::MonitorObservability obs;
-  obs.aggregator_supervisor = &agg_supervisor;
-  obs.subscribers = {&plain};
-  obs.recovering_subscribers = {&rec};
-  const json::Value status = mon.StatusJson(obs);
+  ripple::FleetComponents components;
+  components.collectors = mon.collectors();
+  components.aggregators = &mon.fleet();
+  components.plain_subscribers = {&plain};
+  components.subscribers = {&rec};
+  const json::Value status = ripple::FleetStatusJson(components);
 
   const auto& subscribers = status["subscribers"].AsArray();
   ASSERT_EQ(subscribers.size(), 2u);
@@ -406,17 +409,28 @@ TEST(ObservabilityE2E, MonitorStatusJsonCarriesLiveObservability) {
             static_cast<int64_t>(rec.next_expected()));
   EXPECT_GT(recovering.GetInt("next_expected"), 0);
 
-  const json::Value& sup = status["aggregator_supervisor"];
+  ripple::FleetComponents supervised;
+  supervised.aggregators = &sup_fleet;
+  const json::Value sup_status = ripple::FleetStatusJson(supervised);
+  const json::Value& sup = sup_status["aggregator_shards"].AsArray().at(0);
   EXPECT_EQ(sup.GetInt("crashes"), static_cast<int64_t>(agg_supervisor.crashes()));
   EXPECT_GT(sup.GetInt("crashes"), 0);
   EXPECT_EQ(sup.GetInt("restarts"),
             static_cast<int64_t>(agg_supervisor.restarts()));
-  EXPECT_GE(sup.GetInt("checkpoint_next_seq"), 1);
+  EXPECT_GE(sup.GetInt("next_seq"), 1);
+  EXPECT_EQ(sup.GetInt("checkpointed"),
+            static_cast<int64_t>(agg_supervisor.checkpoint().TotalAppended()));
+  EXPECT_EQ(sup_status["aggregator"].GetInt("crashes"), sup.GetInt("crashes"));
 
-  // The plain status document (no observability) must omit the sections.
-  const json::Value bare = mon.StatusJson();
+  // The monitor's own document (no consumers) omits the subscriber
+  // section, and its unsupervised shard never crashed.
+  ripple::FleetComponents bare_components;
+  bare_components.collectors = mon.collectors();
+  bare_components.aggregators = &mon.fleet();
+  const json::Value bare = ripple::FleetStatusJson(bare_components);
   EXPECT_FALSE(bare.Has("subscribers"));
-  EXPECT_FALSE(bare.Has("aggregator_supervisor"));
+  EXPECT_EQ(bare["aggregator_shards"].AsArray().at(0).GetInt("crashes"), 0);
+  EXPECT_EQ(bare["aggregator"].GetInt("restarts"), 0);
 
   context.ClearFaults(config.aggregator.publish_endpoint);
   mon.Stop();
